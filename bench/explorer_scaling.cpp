@@ -28,8 +28,10 @@
 //   4. Incremental vs replay — with DPOR collapsing the run count, per-run
 //      cost is dominated by prefix replay; copy-on-write branch snapshots
 //      (Options::incremental) must deliver >= 2x runs/sec on the FF-T5
-//      tree at branch depth 8 with identical observables.  Asserted in
-//      full mode on fiber-capable hosts only.
+//      tree at branch depth 8 with identical observables.  Both sides run
+//      the same fibers; the row isolates what restoring a checkpoint saves
+//      over replaying the prefix.  Asserted in full mode on builds with
+//      stack snapshots (fibersSupported()) only.
 //
 // Speedup rows are only committed when the host has at least as many
 // hardware threads as the row has workers; otherwise the row carries an
@@ -121,6 +123,7 @@ int main(int argc, char** argv) {
   confail::benchjson::Writer json;
   json.beginObject();
   json.field("bench", "explorer_scaling");
+  confail::benchjson::stamp(json, smoke);
   json.field("smoke", smoke);
   json.field("hardware_concurrency", static_cast<std::uint64_t>(hw));
 
@@ -408,8 +411,9 @@ int main(int argc, char** argv) {
   if (!gateIncremental) {
     json.field("skipped_reason",
                smoke ? std::string("smoke mode: tree too small to gate")
-                     : std::string("no fiber support: incremental degrades "
-                                   "to replay by design"));
+                     : std::string("no stack snapshots in this build: "
+                                   "incremental degrades to replay by "
+                                   "design"));
   }
   json.endObject();
   json.endObject();

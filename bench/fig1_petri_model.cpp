@@ -34,6 +34,7 @@
 #include "confail/petri/trace_validator.hpp"
 #include "confail/sched/virtual_scheduler.hpp"
 #include "confail/taxonomy/taxonomy.hpp"
+#include "confail/support/text.hpp"
 
 namespace petri = confail::petri;
 namespace sched = confail::sched;
@@ -210,7 +211,7 @@ int main(int argc, char** argv) {
     confail::monitor::Monitor m(rt, "m");
     bool go = false;
     for (int i = 0; i < 3; ++i) {
-      rt.spawn("w" + std::to_string(i), [&] {
+      rt.spawn(confail::numbered("w", i), [&] {
         confail::monitor::Synchronized sync(m);
         while (!go) m.wait();
       });

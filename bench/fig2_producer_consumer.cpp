@@ -20,6 +20,7 @@
 #include "confail/monitor/runtime.hpp"
 #include "confail/petri/trace_validator.hpp"
 #include "confail/sched/virtual_scheduler.hpp"
+#include "confail/support/text.hpp"
 
 namespace ev = confail::events;
 namespace sched = confail::sched;
@@ -99,7 +100,7 @@ int main() {
       std::string sent;
       rt.spawn("producer", [&] {
         for (int m = 0; m < 8; ++m) {
-          std::string msg = "m" + std::to_string(m) + "!";
+          std::string msg = confail::numbered("m", m) + "!";
           sent += msg;
           pc.send(msg);
         }

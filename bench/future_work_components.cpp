@@ -28,6 +28,7 @@
 #include "confail/events/trace.hpp"
 #include "confail/monitor/runtime.hpp"
 #include "confail/sched/virtual_scheduler.hpp"
+#include "confail/support/text.hpp"
 
 namespace cofg = confail::cofg;
 namespace comps = confail::components;
@@ -137,10 +138,10 @@ void barrierCampaign() {
   Campaign c;
   comps::CyclicBarrier bar(c.rt, "bar", 3);
   for (int t = 0; t < 3; ++t) {
-    c.driver.addVoid("t" + std::to_string(t),
+    c.driver.addVoid(confail::numbered("t", t),
                      static_cast<std::uint64_t>(t + 1), "await#1",
                      [&bar] { (void)bar.await(); });
-    c.driver.addVoid("t" + std::to_string(t),
+    c.driver.addVoid(confail::numbered("t", t),
                      static_cast<std::uint64_t>(4 + t), "await#2",
                      [&bar] { (void)bar.await(); });
   }

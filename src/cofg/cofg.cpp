@@ -22,7 +22,7 @@ std::string Node::label() const {
   std::string s = nodeKindName(kind);
   if (kind == NodeKind::Wait || kind == NodeKind::Notify ||
       kind == NodeKind::NotifyAll) {
-    s += "#" + std::to_string(site);
+    s += numbered("#", site);
   }
   return s;
 }

@@ -24,6 +24,7 @@
 #include "confail/monitor/shared_var.hpp"
 #include "confail/obs/metrics.hpp"
 #include "confail/sched/virtual_scheduler.hpp"
+#include "confail/support/text.hpp"
 
 namespace confail::components::scenarios {
 
@@ -78,12 +79,12 @@ inline void boundedBufferScenario(confail::sched::VirtualScheduler& s,
   s.declareSnapshotSafe();
   auto st = std::make_shared<State>(s, faults, ins);
   for (int p = 0; p < 2; ++p) {
-    st->rt.spawn("p" + std::to_string(p), [st, itemsPerThread] {
+    st->rt.spawn(numbered("p", p), [st, itemsPerThread] {
       for (int i = 0; i < itemsPerThread; ++i) st->buf.put(i);
     });
   }
   for (int c = 0; c < 2; ++c) {
-    st->rt.spawn("c" + std::to_string(c), [st, itemsPerThread] {
+    st->rt.spawn(numbered("c", c), [st, itemsPerThread] {
       for (int i = 0; i < itemsPerThread; ++i) (void)st->buf.take();
     });
   }

@@ -7,6 +7,7 @@
 #include "confail/monitor/monitor.hpp"
 #include "confail/monitor/runtime.hpp"
 #include "confail/monitor/shared_var.hpp"
+#include "confail/support/text.hpp"
 
 namespace confail::gen {
 
@@ -28,11 +29,11 @@ struct State {
         prog(p) {
     for (std::uint8_t m = 0; m < prog.monitors; ++m) {
       mons.push_back(std::make_unique<monitor::Monitor>(
-          rt, "m" + std::to_string(m)));
+          rt, numbered("m", m)));
     }
     for (std::uint8_t v = 0; v < prog.vars; ++v) {
       vars.push_back(std::make_unique<monitor::SharedVar<int>>(
-          rt, "v" + std::to_string(v), 0));
+          rt, numbered("v", v), 0));
     }
   }
 };
@@ -104,7 +105,7 @@ void interpret(const Program& p, sched::VirtualScheduler& s,
   s.declareSnapshotSafe();
   auto st = std::make_shared<State>(s, p, ins);
   for (std::size_t ti = 0; ti < st->prog.threads.size(); ++ti) {
-    st->rt.spawn("t" + std::to_string(ti), [st, ti] { runThread(*st, ti); });
+    st->rt.spawn(numbered("t", ti), [st, ti] { runThread(*st, ti); });
   }
 }
 

@@ -1,4 +1,5 @@
 #include "confail/gen/ir.hpp"
+#include "confail/support/text.hpp"
 
 #include <algorithm>
 
@@ -113,7 +114,7 @@ bool Program::validate(std::string* why) const {
   if (threads.empty()) return fail("no threads");
   if (monitors == 0 && has(OpKind::Lock)) return fail("monitor op, 0 monitors");
   for (std::size_t ti = 0; ti < threads.size(); ++ti) {
-    const std::string where = "t" + std::to_string(ti) + ": ";
+    const std::string where = numbered("t", ti) + ": ";
     std::vector<std::uint8_t> lockStack;
     // Per loop frame: the lock depth at entry (the body must restore it)
     // and whether the body has emitted at least one op.

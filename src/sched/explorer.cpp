@@ -163,7 +163,7 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
   // depends on the races along the path that reached it).
   const bool fpPruning = opts_.fingerprintPruning && !dporMode;
   const bool captureState = fpPruning || opts_.reduction != Reduction::None;
-  // Incremental exploration needs copyable fiber stacks; without them every
+  // Incremental exploration needs stack snapshots; without them every
   // worker silently uses plain prefix replay.
   const bool incrementalMode = opts_.incremental && fibersSupported();
   // Flipped (once, by whichever worker discovers it) when the program turns

@@ -109,14 +109,15 @@ class ExhaustiveExplorer {
     /// lexicographic-min witness but explores far fewer runs.
     Reduction reduction = Reduction::None;
 
-    /// Incremental exploration: each worker keeps one long-lived fiber
+    /// Incremental exploration: each worker keeps one long-lived
     /// scheduler, checkpoints its state at branch points (copy-on-write —
     /// siblings share unmodified stacks and payloads) and starts each child
     /// run by restoring its parent's checkpoint instead of replaying the
     /// O(depth) prefix.  Produces the exact same runs, failure sets,
     /// canonical witnesses and Stats counters as replay; silently falls
-    /// back to replay when fibers are unsupported (sanitized builds,
-    /// non-x86-64/aarch64) or the program is not snapshot-safe (see
+    /// back to replay when stack snapshots are unavailable (sanitized
+    /// builds, non-x86-64/aarch64; see fibersSupported()) or the program
+    /// is not snapshot-safe (see
     /// VirtualScheduler::declareSnapshotSafe).  See docs/exploration.md.
     bool incremental = true;
 

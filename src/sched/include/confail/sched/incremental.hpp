@@ -3,7 +3,7 @@
 // The stateless explorer pays O(depth) re-execution for every run: a child
 // branch replays its whole prefix before taking its one new step.  An
 // *incremental session* kills that cost by keeping ONE long-lived scheduler
-// per worker whose logical threads are ucontext fibers (copyable stacks),
+// per worker whose logical threads' fiber stacks it copies in and out,
 // checkpointing the complete execution state at branch points, and starting
 // each child run by *restoring* its deepest checkpointed ancestor rather
 // than replaying from the root.
@@ -24,8 +24,10 @@
 // choice sets, fingerprints, footprints and outcomes are bit-identical to
 // the replay path.  If anything breaks the session's assumptions — the
 // program is not declared snapshot-safe, a restore detects mid-run
-// (un)registration, the platform has no fibers — the runner reports
-// unusable/null and the explorer falls back to plain replay.
+// (un)registration, the build has no stack snapshots (fibersSupported()
+// is false under sanitizers and off x86-64/aarch64) — the runner reports
+// unusable/null and the explorer falls back to plain replay, which runs
+// the same fibers without checkpoints.
 //
 // Memory is bounded by Config::budgetBytes: checkpoints are dropped
 // oldest-first (the root checkpoint is pinned) and a child whose immediate
@@ -100,7 +102,7 @@ class IncrementalRunner {
     std::size_t peakBytes = 0;            ///< high-water mark of the above
   };
 
-  /// Builds the session: constructs the fiber scheduler, runs `program`
+  /// Builds the session: constructs the scheduler, runs `program`
   /// once to build the object graph, and checks it declared itself
   /// snapshot-safe.  Requires fibersSupported().
   IncrementalRunner(const std::function<void(VirtualScheduler&)>& program,

@@ -1,10 +1,9 @@
 // VirtualScheduler: deterministic cooperative execution of logical threads.
 //
 // Architecture (the standard model-checker / CHESS design):
-//   * Every logical thread is backed by a real std::thread, but all threads
-//     are gated on per-thread binary semaphores so that EXACTLY ONE logical
-//     thread executes at any moment.  The thread that calls run() acts as
-//     the controller.
+//   * Every logical thread is a ucontext fiber with its own stack, run on
+//     the OS thread that calls run() (the controller), so EXACTLY ONE
+//     logical thread executes at any moment.
 //   * At every instrumented operation (schedule point), the running thread
 //     hands control back to the controller, which consults the Strategy to
 //     pick the next runnable thread.
@@ -15,17 +14,16 @@
 //     "check call completion time" technique and the failure classes FF-T2,
 //     FF-T4 and FF-T5 mechanically detectable.
 //
-// Because only one logical thread runs at a time and control transfer goes
-// through semaphore release/acquire pairs, all scheduler state is free of
-// data races by construction (strict alternation + synchronizes-with).
+// Because only one logical thread runs at a time and every transfer of
+// control is a swapcontext on a single OS thread, all scheduler state is
+// free of data races by construction.
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
-#include <semaphore>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "confail/sched/fingerprint.hpp"
@@ -47,9 +45,10 @@ struct FiberRt;  // per-scheduler controller context (defined in .cpp)
 struct StackImage;  // frozen fiber stack + register file (defined in .cpp)
 }  // namespace detail
 
-/// True when this build can back logical threads with snapshot-capable
-/// ucontext fibers: Linux on x86-64 or aarch64, sanitizers off.  When
-/// false, incremental exploration silently degrades to prefix replay.
+/// True when stack snapshots are available: the fibers' raw stack images
+/// can be saved and restored (Linux on x86-64 or aarch64, sanitizers off).
+/// Logical threads are fibers on every build; only incremental exploration
+/// depends on this, and silently degrades to prefix replay when false.
 bool fibersSupported() noexcept;
 
 /// Why a logical thread is not runnable.
@@ -157,11 +156,8 @@ class VirtualScheduler {
     std::size_t sleepFilterFrom = 0;
     std::size_t sleepFilterTo = static_cast<std::size_t>(-1);
 
-    /// Back logical threads with ucontext fibers instead of real
-    /// std::threads.  Fibers run on the controller's own thread under the
-    /// same strict alternation, but their stacks can be copied in and out,
-    /// which is what makes checkpoint/restore of mid-run threads possible.
-    /// Set only by the incremental explorer; requires fibersSupported().
+    /// No effect: every logical thread is a fiber.  Kept only so that
+    /// existing code assigning it still compiles.
     bool fibers = false;
   };
 
@@ -300,9 +296,7 @@ class VirtualScheduler {
     ThreadState state = ThreadState::Runnable;
     BlockKind blockKind = BlockKind::None;
     std::uint64_t blockResource = 0;
-    std::binary_semaphore sem{0};
-    std::thread real;
-    std::unique_ptr<detail::Fiber> fiber;  // set instead of `real` w/ fibers
+    std::unique_ptr<detail::Fiber> fiber;
     std::exception_ptr error;
     std::function<void()> fn;
     std::vector<ThreadId> joiners;  // threads blocked joining on this one
@@ -334,12 +328,10 @@ class VirtualScheduler {
     std::size_t freshBytes = 0;
   };
 
-  void workerMain(ThreadRecord& rec);
   static void fiberTrampoline();
   void fiberMain(ThreadRecord& rec);
   void finishSelf(ThreadRecord& rec);
-  /// Hand the CPU to `rec` until it yields/blocks/finishes (semaphore
-  /// hand-off for thread-backed records, swapcontext for fibers).
+  /// Hand the CPU to `rec`'s fiber until it yields/blocks/finishes.
   void resumeThread(ThreadRecord& rec);
   void switchToController(ThreadRecord& rec);
   void checkAbort() const;
@@ -355,7 +347,7 @@ class VirtualScheduler {
   void runLoop(RunResult& result, std::uint64_t& contextSwitches);
 
   /// Freeze the complete session state (controller only, all fibers
-  /// suspended).  Requires Options::fibers.
+  /// suspended).  Returns null unless fibersSupported().
   std::shared_ptr<const Snapshot> saveSnapshot();
 
   /// Rewind the session to `snap`.  Returns false (leaving state poisoned
@@ -375,8 +367,8 @@ class VirtualScheduler {
   Footprint stepFootprint_;
   std::vector<std::unique_ptr<ThreadRecord>> threads_;
   std::vector<IdleHandler*> idleHandlers_;
-  std::binary_semaphore controllerSem_{0};
-  std::unique_ptr<detail::FiberRt> fiberRt_;  // controller context (fibers)
+  std::unique_ptr<detail::FiberRt> fiberRt_;  // controller context
+  ThreadRecord* running_ = nullptr;  // the thread whose fiber is running
   /// Invoked by runLoop at every decision point, before the pick executes
   /// (the incremental runner installs this to store checkpoints).  Gets the
   /// step index and the runnable-set size: only multi-choice points can

@@ -14,7 +14,7 @@
 // zero no further work can appear and every blocked worker wakes and exits.
 // Shards use plain mutexes: the owner's push/pop is uncontended in the
 // common case, and steals are rare once the tree fans out — profiling the
-// explorer shows run execution (thread spawn + semaphore ping-pong)
+// explorer shows run execution (fiber setup and context switches)
 // dominates queue traffic by orders of magnitude, so a lock-free Chase-Lev
 // deque would buy nothing measurable here.
 #pragma once

@@ -16,7 +16,6 @@ VirtualScheduler::Options sessionOptions(const IncrementalRunner::Config& cfg) {
   // sched.* counters are published by the runner per run (the scheduler
   // itself only publishes from run(), which a session never calls).
   o.metrics = nullptr;
-  o.fibers = true;
   return o;
 }
 }  // namespace

@@ -4,40 +4,51 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <utility>
 
 #include "confail/obs/metrics.hpp"
 
-// Fiber support: ucontext stack switching with raw stack-image copies is
-// only implemented where it is known sound — Linux on x86-64 / aarch64 —
-// and is incompatible with TSan/ASan shadow-stack bookkeeping.
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-#define CONFAIL_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-#define CONFAIL_SANITIZED 1
+#if !__has_include(<ucontext.h>)
+#error "the virtual scheduler runs logical threads as ucontext fibers and needs <ucontext.h>"
 #endif
+#include <cxxabi.h>
+#include <ucontext.h>
+
+#ifdef __has_feature
+#define CONFAIL_HAS_FEATURE(x) __has_feature(x)
+#else
+#define CONFAIL_HAS_FEATURE(x) 0
+#endif
+#if defined(__SANITIZE_THREAD__) || CONFAIL_HAS_FEATURE(thread_sanitizer)
+#define CONFAIL_SAN_THREAD 1
+#include <sanitizer/tsan_interface.h>
+#endif
+#if defined(__SANITIZE_ADDRESS__) || CONFAIL_HAS_FEATURE(address_sanitizer)
+#define CONFAIL_SAN_ADDRESS 1
+#include <sanitizer/common_interface_defs.h>
 #endif
 
+// Raw stack-image snapshot and restore is only implemented where it is
+// known sound — Linux on x86-64 / aarch64 — and is incompatible with the
+// TSan/ASan shadow-stack bookkeeping.
 #if defined(__linux__) && (defined(__x86_64__) || defined(__aarch64__)) && \
-    !defined(CONFAIL_SANITIZED)
-#define CONFAIL_FIBERS 1
-#include <ucontext.h>
+    !defined(CONFAIL_SAN_THREAD) && !defined(CONFAIL_SAN_ADDRESS)
+#define CONFAIL_STACK_SNAPSHOTS 1
 #endif
 
 namespace confail::sched {
 
 namespace {
-// The logical thread currently executing on this real thread (if any).
-struct TlsBinding {
-  VirtualScheduler* sched = nullptr;
-  void* record = nullptr;
-};
-thread_local TlsBinding tlsBinding;
+// The scheduler resuming a fiber on this OS thread.  makecontext passes no
+// pointer arguments portably, so a fresh fiber's entry point finds its
+// scheduler here (and its record as that scheduler's running_).
+thread_local VirtualScheduler* tlsResuming = nullptr;
 
-#ifdef CONFAIL_FIBERS
 // Stacks only need to hold the scenario bodies plus exception unwinding;
 // the *captured* portion per snapshot is just [SP - red zone, top).
 constexpr std::size_t kFiberStackBytes = 256 * 1024;
+
+#ifdef CONFAIL_STACK_SNAPSHOTS
 constexpr std::size_t kRedZoneBytes = 128;
 
 std::uintptr_t contextSp(const ucontext_t& ctx) {
@@ -47,7 +58,21 @@ std::uintptr_t contextSp(const ucontext_t& ctx) {
   return static_cast<std::uintptr_t>(ctx.uc_mcontext.sp);
 #endif
 }
-#endif  // CONFAIL_FIBERS
+#endif  // CONFAIL_STACK_SNAPSHOTS
+
+// The C++ runtime keeps its exception bookkeeping (the stack of caught
+// exceptions, the uncaught count) per OS thread.  A logical thread may
+// reach a schedule point inside a catch block, so each fiber carries its
+// own copy, swapped in around every resume.  This is the leading part of
+// the Itanium C++ ABI's __cxa_eh_globals (libstdc++ and libc++abi).
+struct EhGlobals {
+  void* caughtExceptions = nullptr;
+  unsigned int uncaughtExceptions = 0;
+};
+EhGlobals& liveEhGlobals() {
+  return *reinterpret_cast<EhGlobals*>(abi::__cxa_get_globals());
+}
+
 }  // namespace
 
 namespace detail {
@@ -59,40 +84,93 @@ struct StackImage {
   std::uint64_t version = 0;
   std::size_t used = 0;            ///< bytes saved at the top of the stack
   std::unique_ptr<char[]> bytes;   ///< copy of [stackTop - used, stackTop)
-#ifdef CONFAIL_FIBERS
   ucontext_t ctx{};
-#endif
+  EhGlobals eh;
 };
 
-/// The ucontext fiber backing a logical thread in snapshot mode.  The
-/// object (and therefore `ctx`) is heap-pinned for the scheduler's whole
-/// life: glibc's x86-64 ucontext_t holds a pointer into itself
-/// (uc_mcontext.fpregs -> __fpregs_mem), so a context must always be
-/// restored into the same ucontext_t it was captured from.
+/// The ucontext fiber backing a logical thread.  The object (and
+/// therefore `ctx`) is heap-pinned for the scheduler's whole life: glibc's
+/// x86-64 ucontext_t holds a pointer into itself (uc_mcontext.fpregs ->
+/// __fpregs_mem), so a context must always be restored into the same
+/// ucontext_t it was captured from.
 struct Fiber {
-  std::unique_ptr<char[]> stack;
-  std::size_t stackSize = 0;
+  /// A fresh fiber that starts in `entry` when first switched to.  The
+  /// stack is not zeroed: nothing reads below the stack pointer.
+  explicit Fiber(void (*entry)())
+      : stack(std::make_unique_for_overwrite<char[]>(kFiberStackBytes)),
+        version(nextSnapshotVersion()) {
+    CONFAIL_ASSERT(getcontext(&ctx) == 0, "getcontext failed");
+    ctx.uc_stack.ss_sp = stack.get();
+    ctx.uc_stack.ss_size = kFiberStackBytes;
+    ctx.uc_link = nullptr;
+    makecontext(&ctx, entry, 0);
+  }
+#ifdef CONFAIL_SAN_THREAD
+  ~Fiber() { __tsan_destroy_fiber(tsan); }
+#endif
+
+  std::unique_ptr<char[]> stack;  ///< kFiberStackBytes
   /// Stamp of the stack's current contents; bumped on every resume (the
   /// stack is about to change).  An image with an equal stamp is
   /// byte-identical to the live stack, so save and restore can skip it.
   std::uint64_t version = 0;
   std::shared_ptr<const StackImage> lastImage;
-#ifdef CONFAIL_FIBERS
   ucontext_t ctx{};
+  EhGlobals eh;  ///< this fiber's exception state while it is suspended
+#ifdef CONFAIL_SAN_THREAD
+  void* tsan = __tsan_create_fiber(0);
 #endif
 };
 
 /// Controller-side context the running fiber swaps back into.
 struct FiberRt {
-#ifdef CONFAIL_FIBERS
   ucontext_t controllerCtx{};
+#ifdef CONFAIL_SAN_THREAD
+  void* tsan = nullptr;  ///< the controller's TSan context
+#endif
+#ifdef CONFAIL_SAN_ADDRESS
+  const void* stackBottom = nullptr;  ///< the controller's stack, as ASan
+  std::size_t stackSize = 0;          ///< reports it to a resumed fiber
 #endif
 };
+
+/// The one place control changes stacks, so the sanitizers see every
+/// switch: TSan the target fiber (synchronizing, as the alternation is
+/// strict), ASan the target stack, so unwinding on a fiber stack is not
+/// misreported.  `toFiber` is null when returning to the controller;
+/// `dying` marks a finished fiber's last switch.
+void switchContext([[maybe_unused]] FiberRt& rt, ucontext_t& from,
+                   ucontext_t& to, [[maybe_unused]] Fiber* toFiber,
+                   [[maybe_unused]] bool dying) {
+#ifdef CONFAIL_SAN_ADDRESS
+  void* fakeStack = nullptr;
+  if (toFiber != nullptr) {
+    __sanitizer_start_switch_fiber(&fakeStack, toFiber->stack.get(),
+                                   kFiberStackBytes);
+  } else {
+    __sanitizer_start_switch_fiber(dying ? nullptr : &fakeStack,
+                                   rt.stackBottom, rt.stackSize);
+  }
+#endif
+#ifdef CONFAIL_SAN_THREAD
+  if (toFiber != nullptr) rt.tsan = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(toFiber != nullptr ? toFiber->tsan : rt.tsan, 0);
+#endif
+  swapcontext(&from, &to);
+#ifdef CONFAIL_SAN_ADDRESS
+  // Back on `from`'s stack.  A fiber learns where the controller lives.
+  if (toFiber != nullptr) {
+    __sanitizer_finish_switch_fiber(fakeStack, nullptr, nullptr);
+  } else {
+    __sanitizer_finish_switch_fiber(fakeStack, &rt.stackBottom, &rt.stackSize);
+  }
+#endif
+}
 
 }  // namespace detail
 
 bool fibersSupported() noexcept {
-#ifdef CONFAIL_FIBERS
+#ifdef CONFAIL_STACK_SNAPSHOTS
   return true;
 #else
   return false;
@@ -127,23 +205,14 @@ const char* outcomeName(Outcome o) {
 }
 
 VirtualScheduler::VirtualScheduler(Strategy& strategy, Options opts)
-    : strategy_(strategy), opts_(opts) {
-  if (opts_.fibers) {
-    CONFAIL_CHECK(fibersSupported(), UsageError,
-                  "fiber mode is unsupported on this platform/build");
-    fiberRt_ = std::make_unique<detail::FiberRt>();
-  }
-}
+    : strategy_(strategy),
+      opts_(std::move(opts)),
+      fiberRt_(std::make_unique<detail::FiberRt>()) {}
 
 VirtualScheduler::~VirtualScheduler() {
-  if (!finished_) {
-    // run() was never called (or aborted mid-construction of a test):
-    // tear down parked workers so their std::threads can be joined.
-    abortRun();
-  }
-  for (auto& rec : threads_) {
-    if (rec->real.joinable()) rec->real.join();
-  }
+  // run() was never called (or a test gave up on it): unwind every fiber
+  // that is still mid-body so its stack objects are destroyed.
+  if (!finished_) abortRun();
 }
 
 ThreadId VirtualScheduler::spawn(std::string name, std::function<void()> fn) {
@@ -156,60 +225,29 @@ ThreadId VirtualScheduler::spawn(std::string name, std::function<void()> fn) {
   const ThreadId id = static_cast<ThreadId>(threads_.size());
   auto rec = std::make_unique<ThreadRecord>(id, std::move(name));
   rec->fn = std::move(fn);
-  ThreadRecord& r = *rec;
+  rec->fiber = std::make_unique<detail::Fiber>(&fiberTrampoline);
   threads_.push_back(std::move(rec));
   ++liveCount_;
   strategy_.onSpawn(id);
-  if (opts_.fibers) {
-#ifdef CONFAIL_FIBERS
-    auto f = std::make_unique<detail::Fiber>();
-    f->stackSize = kFiberStackBytes;
-    f->stack = std::make_unique<char[]>(f->stackSize);
-    f->version = nextSnapshotVersion();
-    CONFAIL_ASSERT(getcontext(&f->ctx) == 0, "getcontext failed");
-    f->ctx.uc_stack.ss_sp = f->stack.get();
-    f->ctx.uc_stack.ss_size = f->stackSize;
-    f->ctx.uc_link = nullptr;
-    makecontext(&f->ctx, &VirtualScheduler::fiberTrampoline, 0);
-    r.fiber = std::move(f);
-#endif
-  } else {
-    r.real = std::thread([this, &r] { workerMain(r); });
-  }
   return id;
 }
 
-void VirtualScheduler::workerMain(ThreadRecord& rec) {
-  rec.sem.acquire();  // wait until first scheduled
-  tlsBinding = TlsBinding{this, &rec};
-  if (!aborting_) {
-    try {
-      rec.fn();
-    } catch (const ExecutionAborted&) {
-      // Normal teardown path; nothing to record.
-    } catch (...) {
-      rec.error = std::current_exception();
-    }
-  }
-  finishSelf(rec);
-}
-
 void VirtualScheduler::fiberTrampoline() {
-  // The controller publishes {scheduler, record} through the TLS binding
-  // immediately before swapping a fiber in for the first time; fibers run
-  // on the controller's own OS thread, so the binding is already ours.
-  auto* sched = tlsBinding.sched;
-  auto* rec = static_cast<ThreadRecord*>(tlsBinding.record);
-  CONFAIL_ASSERT(sched != nullptr && rec != nullptr,
-                 "fiber started without a TLS binding");
-  sched->fiberMain(*rec);
+  VirtualScheduler* sched = tlsResuming;
+  CONFAIL_ASSERT(sched != nullptr && sched->running_ != nullptr,
+                 "fiber started without a resuming scheduler");
+  sched->fiberMain(*sched->running_);
   // fiberMain's final swap back to the controller never returns: resuming
   // a finished fiber is a scheduler bug.
   std::abort();
 }
 
 void VirtualScheduler::fiberMain(ThreadRecord& rec) {
-#ifdef CONFAIL_FIBERS
+#ifdef CONFAIL_SAN_ADDRESS
+  // First entry: complete the switch the controller started.
+  __sanitizer_finish_switch_fiber(nullptr, &fiberRt_->stackBottom,
+                                  &fiberRt_->stackSize);
+#endif
   if (!aborting_) {
     try {
       rec.fn();
@@ -220,10 +258,8 @@ void VirtualScheduler::fiberMain(ThreadRecord& rec) {
     }
   }
   finishSelf(rec);
-  swapcontext(&rec.fiber->ctx, &fiberRt_->controllerCtx);
-#else
-  (void)rec;
-#endif
+  detail::switchContext(*fiberRt_, rec.fiber->ctx, fiberRt_->controllerCtx,
+                        nullptr, /*dying=*/true);
 }
 
 void VirtualScheduler::finishSelf(ThreadRecord& rec) {
@@ -240,13 +276,6 @@ void VirtualScheduler::finishSelf(ThreadRecord& rec) {
     }
   }
   rec.joiners.clear();
-  if (!rec.fiber) {
-    // Thread-backed workers clear their own binding and wake the
-    // controller; for fibers the controller's resumeThread() does both
-    // when the final swap returns to it.
-    tlsBinding = TlsBinding{};
-    controllerSem_.release();
-  }
 }
 
 std::vector<ThreadId> VirtualScheduler::runnableSet() const {
@@ -276,9 +305,9 @@ RunResult VirtualScheduler::run() {
   runLoop(result, contextSwitches);
   abortRun();
   finished_ = true;
-  for (auto& rec : threads_) {
-    if (rec->real.joinable()) rec->real.join();
-  }
+  // Nothing runs again: release the program's closures now, while what
+  // they captured (typically the caller's Runtime) is still alive.
+  for (auto& rec : threads_) rec->fn = nullptr;
   if (opts_.metrics != nullptr) {
     opts_.metrics->counter("sched.runs").inc();
     opts_.metrics->counter("sched.steps").add(result.steps);
@@ -441,8 +470,6 @@ void VirtualScheduler::abortRun() {
     if (rec->state != ThreadState::Finished) {
       // Wake it; it will observe aborting_, throw ExecutionAborted through
       // the user stack (RAII releases any held resources) and finish.
-      // Strictly sequential: wait for each to finish before waking the next
-      // so that at most one logical thread ever executes at a time.
       resumeThread(*rec);
       CONFAIL_ASSERT(rec->state == ThreadState::Finished,
                      "aborted thread did not finish");
@@ -451,19 +478,20 @@ void VirtualScheduler::abortRun() {
 }
 
 void VirtualScheduler::resumeThread(ThreadRecord& rec) {
-  if (rec.fiber) {
-#ifdef CONFAIL_FIBERS
-    // The fiber's stack is about to change: no frozen image matches it
-    // from here on.
-    rec.fiber->version = nextSnapshotVersion();
-    tlsBinding = TlsBinding{this, &rec};
-    swapcontext(&fiberRt_->controllerCtx, &rec.fiber->ctx);
-    tlsBinding = TlsBinding{};
-#endif
-  } else {
-    rec.sem.release();
-    controllerSem_.acquire();
-  }
+  detail::Fiber& f = *rec.fiber;
+  // The fiber's stack is about to change: no frozen image matches it from
+  // here on.
+  f.version = nextSnapshotVersion();
+  EhGlobals& eh = liveEhGlobals();
+  const EhGlobals controllerEh = eh;
+  eh = f.eh;
+  running_ = &rec;
+  tlsResuming = this;
+  detail::switchContext(*fiberRt_, fiberRt_->controllerCtx, f.ctx, &f,
+                        /*dying=*/false);
+  running_ = nullptr;
+  f.eh = eh;
+  eh = controllerEh;
 }
 
 void VirtualScheduler::checkAbort() const {
@@ -483,7 +511,7 @@ void VirtualScheduler::yield() {
   // the in-flight one and std::terminate.  Skipping the schedule point is
   // always safe.
   if (std::uncaught_exceptions() > 0) return;
-  auto& rec = *static_cast<ThreadRecord*>(tlsBinding.record);
+  ThreadRecord& rec = *running_;
   rec.state = ThreadState::Runnable;
   switchToController(rec);
 }
@@ -500,7 +528,7 @@ void VirtualScheduler::block(BlockKind kind, std::uint64_t resource) {
   CONFAIL_ASSERT(onLogicalThread(), "block off a logical thread");
   checkAbort();
   noteAccess(blockTag(kind, resource), /*isWrite=*/true);
-  auto& rec = *static_cast<ThreadRecord*>(tlsBinding.record);
+  ThreadRecord& rec = *running_;
   rec.state = ThreadState::Blocked;
   rec.blockKind = kind;
   rec.blockResource = resource;
@@ -508,14 +536,8 @@ void VirtualScheduler::block(BlockKind kind, std::uint64_t resource) {
 }
 
 void VirtualScheduler::switchToController(ThreadRecord& rec) {
-  if (rec.fiber) {
-#ifdef CONFAIL_FIBERS
-    swapcontext(&rec.fiber->ctx, &fiberRt_->controllerCtx);
-#endif
-  } else {
-    controllerSem_.release();
-    rec.sem.acquire();
-  }
+  detail::switchContext(*fiberRt_, rec.fiber->ctx, fiberRt_->controllerCtx,
+                        nullptr, /*dying=*/false);
   checkAbort();
   CONFAIL_ASSERT(rec.state == ThreadState::Running,
                  "scheduled thread not marked running");
@@ -553,15 +575,10 @@ void VirtualScheduler::reblock(ThreadId t, BlockKind kind,
 }
 
 ThreadId VirtualScheduler::currentThread() const {
-  if (tlsBinding.sched != this || tlsBinding.record == nullptr) {
-    return events::kNoThread;
-  }
-  return static_cast<const ThreadRecord*>(tlsBinding.record)->id;
+  return running_ != nullptr ? running_->id : events::kNoThread;
 }
 
-bool VirtualScheduler::onLogicalThread() const {
-  return tlsBinding.sched == this && tlsBinding.record != nullptr;
-}
+bool VirtualScheduler::onLogicalThread() const { return running_ != nullptr; }
 
 const std::string& VirtualScheduler::threadName(ThreadId t) const {
   return recordOf(t).name;
@@ -612,14 +629,12 @@ void VirtualScheduler::removeSnapshotSource(SnapshotSource* s) {
 
 std::shared_ptr<const VirtualScheduler::Snapshot>
 VirtualScheduler::saveSnapshot() {
-#ifdef CONFAIL_FIBERS
-  CONFAIL_ASSERT(opts_.fibers && !onLogicalThread(),
-                 "saveSnapshot outside a fiber session controller");
+#ifdef CONFAIL_STACK_SNAPSHOTS
+  CONFAIL_ASSERT(!onLogicalThread(), "saveSnapshot off the controller");
   auto snap = std::make_shared<Snapshot>();
   snap->threads.reserve(threads_.size());
   for (auto& recPtr : threads_) {
     ThreadRecord& rec = *recPtr;
-    CONFAIL_ASSERT(rec.fiber != nullptr, "snapshot of a non-fiber thread");
     Snapshot::ThreadSnap ts;
     ts.state = rec.state;
     ts.blockKind = rec.blockKind;
@@ -630,13 +645,14 @@ VirtualScheduler::saveSnapshot() {
       auto img = std::make_shared<detail::StackImage>();
       img->version = f.version;
       img->ctx = f.ctx;
-      char* const top = f.stack.get() + f.stackSize;
+      img->eh = f.eh;
+      char* const top = f.stack.get() + kFiberStackBytes;
       const char* from =
           reinterpret_cast<const char*>(contextSp(f.ctx)) - kRedZoneBytes;
       CONFAIL_ASSERT(from >= f.stack.get() && from < top,
                      "fiber stack pointer out of range");
       img->used = static_cast<std::size_t>(top - from);
-      img->bytes = std::make_unique<char[]>(img->used);
+      img->bytes = std::make_unique_for_overwrite<char[]>(img->used);
       std::memcpy(img->bytes.get(), from, img->used);
       snap->freshBytes += img->used + sizeof(detail::StackImage);
       f.lastImage = std::move(img);
@@ -660,7 +676,7 @@ VirtualScheduler::saveSnapshot() {
 }
 
 bool VirtualScheduler::restoreSnapshot(const Snapshot& snap) {
-#ifdef CONFAIL_FIBERS
+#ifdef CONFAIL_STACK_SNAPSHOTS
   if (snap.sourceGen != snapshotSourceGen_ ||
       snap.threads.size() != threads_.size()) {
     // The program spawned threads or (un)registered sources mid-run: the
@@ -682,7 +698,8 @@ bool VirtualScheduler::restoreSnapshot(const Snapshot& snap) {
       // was captured from it, and on x86-64 glibc it contains a pointer to
       // its own __fpregs_mem — valid only at this address.
       f.ctx = img.ctx;
-      char* const top = f.stack.get() + f.stackSize;
+      f.eh = img.eh;
+      char* const top = f.stack.get() + kFiberStackBytes;
       std::memcpy(top - img.used, img.bytes.get(), img.used);
       f.version = img.version;
       f.lastImage = ts.stack;

@@ -3,7 +3,7 @@
 // One instance owns a CampaignStore root and runs jobs to completion:
 //
 //   scan queue/ -> adopt job -> expand shards -> dispatch to worker pool
-//     -> reap results -> journal + state -> merge when all shards landed
+//     -> reap results -> state -> merge when all shards landed
 //
 // Shards run in worker subprocesses by default (`<self> worker --job ...
 // --shard N --out ...`), so a shard that crashes or is killed takes down
@@ -16,13 +16,16 @@
 // result file exists and parses (the store writes it atomically), so a
 // daemon restarted over an existing root — including after SIGKILL —
 // re-expands each unfinished job and dispatches only the missing shards.
-// Completed shard files are never rewritten and never re-journaled.
+// Completed shard files are never rewritten.  The shard file is the only
+// record of a shard's completion: the event feed and the merged reports are
+// all derived from the shard files once the last one lands.
 //
 // Observability: progress counters live in an obs::Registry
 // (serve.jobs_adopted, serve.shards_completed, serve.shards_failed,
 // serve.heartbeats, gauges serve.jobs_active / serve.workers_busy); each
-// loop iteration snapshots them to `metricsOut` and each completed shard's
-// captured run is appended to the job's events.jsonl heartbeat feed.
+// loop iteration snapshots them to `metricsOut`.  On completion every
+// shard's captured run is written, in shard order, to the job's
+// events.jsonl.
 #pragma once
 
 #include <cstdint>

@@ -9,15 +9,11 @@
 //     jobs/<job-id>/
 //       job.json                 the adopted canonical spec
 //       state.json               confail.jobstate.v1 progress summary
-//       shards/shard-NNNN.json   one confail.shard.v1 result per done shard
-//       journal.jsonl            append-only completion log (one line per
-//                                shard the daemon observed finishing; a
-//                                resumed daemon never re-journals a shard
-//                                whose file already exists — the crash-
-//                                resume tests key off this)
-//       events.jsonl             heartbeat feed: each shard's captured run
-//                                as obs::toJsonl lines (`confail ingest`
-//                                consumes this directly)
+//       shards/shard-NNNN.json   one confail.shard.v1 result per done shard:
+//                                the only durable record of a shard
+//       events.jsonl             every shard's captured run as obs::toJsonl
+//                                lines, in shard order (on completion;
+//                                `confail ingest` consumes this directly)
 //       findings.json            merged confail.findings.v1 (on completion)
 //       findings.sarif           merged SARIF 2.1.0
 //       matrix.json              merged confail.injection.v1 matrix
@@ -26,7 +22,8 @@
 // directory, so readers (including a daemon resuming after SIGKILL) only
 // ever see absent or complete documents — a half-written shard is
 // impossible, which is what makes "shard file exists and parses" the
-// resume criterion.
+// resume criterion.  Everything derived from the shards (events.jsonl and
+// the merged reports) is written once, from the shard files, at completion.
 //
 // Job ids are content-derived (`<name>-<hash of the canonical spec JSON>`),
 // so re-submitting the same spec is idempotent: same id, same queue file,
@@ -34,7 +31,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "confail/inject/job_spec.hpp"
@@ -107,7 +106,6 @@ class CampaignStore {
   std::string jobDir(const std::string& id) const;
   std::string shardPath(const std::string& id, std::size_t index) const;
   std::string statePath(const std::string& id) const;
-  std::string journalPath(const std::string& id) const;
   std::string eventsPath(const std::string& id) const;
   std::string findingsPath(const std::string& id) const;
   std::string sarifPath(const std::string& id) const;
@@ -138,19 +136,18 @@ class CampaignStore {
   bool writeState(const std::string& id, const JobState& st) const;
   bool readState(const std::string& id, JobState& out) const;
 
-  /// Append one completion line to journal.jsonl ({"shard": N}).
-  bool journalShard(const std::string& id, std::size_t index) const;
-
-  /// Append a shard's captured JSONL events to the job's heartbeat feed.
-  bool appendEvents(const std::string& id, const std::string& jsonl) const;
-
   // -- primitives ----------------------------------------------------------
 
   /// Write-to-temp + same-directory rename; false on any I/O failure.
+  /// `pieces` are written back to back, so a large document need not be
+  /// concatenated in memory first.
   static bool writeFileAtomic(const std::string& path,
-                              const std::string& content);
+                              std::span<const std::string_view> pieces);
+  static bool writeFileAtomic(const std::string& path,
+                              std::string_view content) {
+    return writeFileAtomic(path, {&content, 1});
+  }
   static bool readFile(const std::string& path, std::string& out);
-  static bool appendFile(const std::string& path, const std::string& chunk);
 
  private:
   std::string root_;

@@ -111,8 +111,7 @@ struct Server::Impl {
       return;
     }
     // Resume criterion: a shard whose result file exists and parses was
-    // completed by an earlier daemon run and is never re-executed (nor
-    // re-journaled).
+    // completed by an earlier daemon run and is never re-executed.
     jr.done = store.completedShards(id, jr.shards.size());
     jr.attempts.assign(jr.shards.size(), 0);
     for (std::size_t i = 0; i < jr.shards.size(); ++i) {
@@ -258,8 +257,6 @@ struct Server::Impl {
     const bool landed = workerOk && store.readShard(id, index, r);
     if (landed) {
       jr.done[index] = true;
-      (void)store.journalShard(id, index);
-      (void)store.appendEvents(id, r.eventsJsonl);
       shardsCompleted->inc();
       publishState(id, jr, "running");
       return;
@@ -322,6 +319,11 @@ struct Server::Impl {
           jobsFailed->inc();
           anyFailed = true;
         } else {
+          // Derived from the landed shards alone, in shard order, so it is
+          // byte-stable across crashes, resumes and pool sizes.
+          std::vector<std::string_view> events;
+          for (const ShardResult& r : results) events.push_back(r.eventsJsonl);
+          (void)CampaignStore::writeFileAtomic(store.eventsPath(id), events);
           const MergedReports merged =
               mergeShards(jr.spec, id, std::move(results));
           (void)CampaignStore::writeFileAtomic(store.findingsPath(id),

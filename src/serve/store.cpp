@@ -247,10 +247,6 @@ std::string CampaignStore::statePath(const std::string& id) const {
   return (fs::path(jobDir(id)) / "state.json").string();
 }
 
-std::string CampaignStore::journalPath(const std::string& id) const {
-  return (fs::path(jobDir(id)) / "journal.jsonl").string();
-}
-
 std::string CampaignStore::eventsPath(const std::string& id) const {
   return (fs::path(jobDir(id)) / "events.jsonl").string();
 }
@@ -481,41 +477,20 @@ bool CampaignStore::readState(const std::string& id, JobState& out) const {
   return JobState::parse(text, out, error);
 }
 
-bool CampaignStore::journalShard(const std::string& id,
-                                 std::size_t index) const {
-  obs::JsonWriter w;
-  w.beginObject();
-  w.field("shard", static_cast<std::uint64_t>(index));
-  w.endObject();
-  std::string line = w.str();
-  // JsonWriter pretty-prints; a journal line must be exactly one line.
-  std::string flat;
-  for (char c : line) {
-    if (c == '\n') continue;
-    flat += c;
-  }
-  return appendFile(journalPath(id), flat + "\n");
-}
-
-bool CampaignStore::appendEvents(const std::string& id,
-                                 const std::string& jsonl) const {
-  if (jsonl.empty()) return true;
-  std::string chunk = jsonl;
-  if (chunk.back() != '\n') chunk += '\n';
-  return appendFile(eventsPath(id), chunk);
-}
-
 // -- primitives -------------------------------------------------------------
 
 bool CampaignStore::writeFileAtomic(const std::string& path,
-                                    const std::string& content) {
+                                    std::span<const std::string_view> pieces) {
   const std::string tmp =
       path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return false;
-  const bool wrote =
-      content.empty() ||
-      std::fwrite(content.data(), 1, content.size(), f) == content.size();
+  bool wrote = true;
+  for (const std::string_view piece : pieces) {
+    if (wrote && !piece.empty()) {
+      wrote = std::fwrite(piece.data(), 1, piece.size(), f) == piece.size();
+    }
+  }
   const bool flushed = std::fflush(f) == 0;
   const bool closed = std::fclose(f) == 0;
   if (!wrote || !flushed || !closed) {
@@ -539,16 +514,6 @@ bool CampaignStore::readFile(const std::string& path, std::string& out) {
   const bool ok = std::ferror(f) == 0;
   std::fclose(f);
   return ok;
-}
-
-bool CampaignStore::appendFile(const std::string& path,
-                               const std::string& chunk) {
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (f == nullptr) return false;
-  const bool wrote =
-      std::fwrite(chunk.data(), 1, chunk.size(), f) == chunk.size();
-  const bool flushed = std::fflush(f) == 0;
-  return (std::fclose(f) == 0) && wrote && flushed;
 }
 
 }  // namespace confail::serve

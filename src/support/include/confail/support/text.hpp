@@ -8,6 +8,11 @@
 
 namespace confail {
 
+/// `prefix` followed by the decimal rendering of `n` ("t", 3 -> "t3").
+/// Appends the two pieces: GCC 12 at -O3 misreads the inlined
+/// `"t" + std::to_string(n)` as an overlapping copy (-Werror=restrict).
+std::string numbered(std::string_view prefix, long long n);
+
 /// Join the string representations of a range with a separator.
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
 

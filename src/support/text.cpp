@@ -5,6 +5,12 @@
 
 namespace confail {
 
+std::string numbered(std::string_view prefix, long long n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
+
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   std::string out;
   for (std::size_t i = 0; i < parts.size(); ++i) {

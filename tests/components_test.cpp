@@ -18,6 +18,7 @@
 #include "confail/petri/trace_validator.hpp"
 #include "confail/sched/explorer.hpp"
 #include "confail/sched/virtual_scheduler.hpp"
+#include "confail/support/text.hpp"
 
 namespace comps = confail::components;
 namespace ev = confail::events;
@@ -120,7 +121,7 @@ TEST(ProducerConsumerTest, SkipSyncMutantCorruptsDataSomewhere) {
     auto got = std::make_shared<std::string>();
     rt.spawn("p", [&pc] { pc.send("ab"); });
     for (int c = 0; c < 2; ++c) {
-      rt.spawn("c" + std::to_string(c), [&pc, got, &corruptionSeen] {
+      rt.spawn(confail::numbered("c", c), [&pc, got, &corruptionSeen] {
         got->push_back(pc.receive());
         if (got->size() == 2) {
           std::string sorted = *got;
@@ -174,12 +175,12 @@ TEST(BoundedBufferTest, MultipleProducersConsumersConserveItems) {
     long sumOut = 0;
     const int perProducer = 10;
     for (int p = 0; p < 3; ++p) {
-      h.rt.spawn("p" + std::to_string(p), [&buf, p] {
+      h.rt.spawn(confail::numbered("p", p), [&buf, p] {
         for (int i = 0; i < perProducer; ++i) buf.put(p * 100 + i);
       });
     }
     for (int c = 0; c < 2; ++c) {
-      h.rt.spawn("c" + std::to_string(c), [&buf, &sumOut, c] {
+      h.rt.spawn(confail::numbered("c", c), [&buf, &sumOut, c] {
         int n = c == 0 ? 15 : 15;
         for (int i = 0; i < n; ++i) sumOut += buf.take();
       });
@@ -286,7 +287,7 @@ TEST(SemaphoreTest, PermitsBoundConcurrency) {
   comps::CountingSemaphore sem(h.rt, "sem", 2);
   int inside = 0, maxInside = 0;
   for (int t = 0; t < 5; ++t) {
-    h.rt.spawn("t" + std::to_string(t), [&] {
+    h.rt.spawn(confail::numbered("t", t), [&] {
       sem.acquire();
       ++inside;
       maxInside = std::max(maxInside, inside);
@@ -339,7 +340,7 @@ TEST(BarrierTest, AllPartiesRendezvous) {
   comps::CyclicBarrier bar(h.rt, "bar", 3);
   std::vector<int> generations;
   for (int t = 0; t < 3; ++t) {
-    h.rt.spawn("t" + std::to_string(t), [&] {
+    h.rt.spawn(confail::numbered("t", t), [&] {
       generations.push_back(bar.await());
     });
   }
@@ -375,7 +376,7 @@ TEST(BarrierTest, NotifyOneMutantStrandsWaiters) {
   comps::CyclicBarrier bar(h.rt, "bar", 3);
   comps::CyclicBarrier barBad(h.rt, "barBad", 3, f);
   for (int t = 0; t < 3; ++t) {
-    h.rt.spawn("t" + std::to_string(t), [&] { barBad.await(); });
+    h.rt.spawn(confail::numbered("t", t), [&] { barBad.await(); });
   }
   auto r = h.sched.run();
   EXPECT_EQ(r.outcome, Outcome::Deadlock);

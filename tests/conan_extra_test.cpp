@@ -12,6 +12,7 @@
 #include "confail/events/trace.hpp"
 #include "confail/monitor/runtime.hpp"
 #include "confail/sched/virtual_scheduler.hpp"
+#include "confail/support/text.hpp"
 
 namespace ev = confail::events;
 namespace sched = confail::sched;
@@ -55,7 +56,7 @@ TEST(ConanExtra, ExpectWaitIsCopiedIntoReports) {
   Call c;
   c.thread = "t";
   c.startTick = 1;
-  c.label = "x";
+  c.label = std::string("x");  // not `= "x"`: GCC 12 -O3 -Wrestrict
   c.action = [] { return std::int64_t{0}; };
   c.expectWait = true;
   h.driver.add(c);
@@ -129,8 +130,8 @@ TEST(ConanExtra, ManyThreadsManyTicksCompleteInTickOrder) {
   for (int t = 0; t < 5; ++t) {
     for (int call = 0; call < 3; ++call) {
       std::uint64_t tick = static_cast<std::uint64_t>(3 * t + call + 1);
-      h.driver.addVoid("t" + std::to_string(t), tick,
-                       "c" + std::to_string(tick), [&log, tick] {
+      h.driver.addVoid(confail::numbered("t", t), tick,
+                       confail::numbered("c", tick), [&log, tick] {
                          log.push_back(std::to_string(tick));
                        });
     }

@@ -17,6 +17,7 @@
 #include "confail/monitor/runtime.hpp"
 #include "confail/monitor/shared_var.hpp"
 #include "confail/sched/virtual_scheduler.hpp"
+#include "confail/support/text.hpp"
 
 namespace detect = confail::detect;
 namespace ev = confail::events;
@@ -117,7 +118,7 @@ TEST(LocksetExtra, TwoLocksProtectingDifferentVarsAreIndependent) {
   Monitor a(h.rt, "A"), b(h.rt, "B");
   SharedVar<int> x(h.rt, "x", 0), y(h.rt, "y", 0);
   for (int t = 0; t < 2; ++t) {
-    h.rt.spawn("t" + std::to_string(t), [&] {
+    h.rt.spawn(confail::numbered("t", t), [&] {
       {
         Synchronized l(a);
         x.set(x.get() + 1);
@@ -258,7 +259,7 @@ TEST(WaitNotifyExtra, SatisfiedWaitersProduceNoFindings) {
   int woken = 0;
   bool go = false;
   for (int i = 0; i < 3; ++i) {
-    h.rt.spawn("w" + std::to_string(i), [&] {
+    h.rt.spawn(confail::numbered("w", i), [&] {
       Synchronized l(m);
       // Disciplined guard loop: re-evaluation is announced via GuardEval
       // (components do this automatically; raw monitor users must too, or

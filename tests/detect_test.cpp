@@ -18,6 +18,7 @@
 #include "confail/monitor/runtime.hpp"
 #include "confail/monitor/shared_var.hpp"
 #include "confail/sched/virtual_scheduler.hpp"
+#include "confail/support/text.hpp"
 
 namespace detect = confail::detect;
 namespace ev = confail::events;
@@ -54,7 +55,7 @@ TEST(Lockset, FlagsUnsynchronizedSharedWrite) {
   Harness h;
   SharedVar<int> x(h.rt, "x", 0);
   for (int t = 0; t < 2; ++t) {
-    h.rt.spawn("t" + std::to_string(t), [&] { x.set(x.get() + 1); });
+    h.rt.spawn(confail::numbered("t", t), [&] { x.set(x.get() + 1); });
   }
   ASSERT_TRUE(h.run().ok());
   detect::LocksetDetector d;
@@ -68,7 +69,7 @@ TEST(Lockset, QuietWhenConsistentlyLocked) {
   Monitor m(h.rt, "m");
   SharedVar<int> x(h.rt, "x", 0);
   for (int t = 0; t < 3; ++t) {
-    h.rt.spawn("t" + std::to_string(t), [&] {
+    h.rt.spawn(confail::numbered("t", t), [&] {
       for (int i = 0; i < 5; ++i) {
         Synchronized sync(m);
         x.set(x.get() + 1);
@@ -97,7 +98,7 @@ TEST(Lockset, ReadSharingWithoutWritesIsNotARace) {
   SharedVar<int> x(h.rt, "x", 7);
   h.rt.spawn("writer-first", [&] { x.set(8); });
   for (int t = 0; t < 3; ++t) {
-    h.rt.spawn("r" + std::to_string(t), [&] { (void)x.get(); });
+    h.rt.spawn(confail::numbered("r", t), [&] { (void)x.get(); });
   }
   ASSERT_TRUE(h.run().ok());
   // Writer runs first (round-robin, spawn order), then read-only sharing.
@@ -143,7 +144,7 @@ TEST(HappensBefore, FlagsTrulyUnorderedAccesses) {
   Harness h;
   SharedVar<int> x(h.rt, "x", 0);
   for (int t = 0; t < 2; ++t) {
-    h.rt.spawn("t" + std::to_string(t), [&] { x.set(1); });
+    h.rt.spawn(confail::numbered("t", t), [&] { x.set(1); });
   }
   ASSERT_TRUE(h.run().ok());
   detect::HbDetector d;
@@ -155,7 +156,7 @@ TEST(HappensBefore, MonitorOrderingSuppressesFalsePositives) {
   Monitor m(h.rt, "m");
   SharedVar<int> x(h.rt, "x", 0);
   for (int t = 0; t < 2; ++t) {
-    h.rt.spawn("t" + std::to_string(t), [&] {
+    h.rt.spawn(confail::numbered("t", t), [&] {
       Synchronized sync(m);
       x.set(x.get() + 1);
     });
@@ -226,7 +227,7 @@ TEST(LockGraph, QuietOnConsistentNesting) {
   Harness h;
   Monitor m1(h.rt, "m1"), m2(h.rt, "m2");
   for (int t = 0; t < 2; ++t) {
-    h.rt.spawn("t" + std::to_string(t), [&] {
+    h.rt.spawn(confail::numbered("t", t), [&] {
       Synchronized a(m1);
       Synchronized b(m2);
     });
@@ -274,7 +275,7 @@ TEST(WaitNotify, FlagsNotifySingleInsufficient) {
   Monitor m(h.rt, "m");
   bool go = false;
   for (int i = 0; i < 3; ++i) {
-    h.rt.spawn("w" + std::to_string(i), [&] {
+    h.rt.spawn(confail::numbered("w", i), [&] {
       Synchronized sync(m);
       while (!go) m.wait();
     });
@@ -354,7 +355,7 @@ TEST(Starvation, QuietUnderFifoGrant) {
   Harness h;
   Monitor m(h.rt, "fair");
   for (int t = 0; t < 3; ++t) {
-    h.rt.spawn("t" + std::to_string(t), [&] {
+    h.rt.spawn(confail::numbered("t", t), [&] {
       for (int i = 0; i < 60; ++i) {
         Synchronized sync(m);
       }
@@ -404,7 +405,7 @@ TEST(UnnecessarySync, QuietWhenContended) {
   Monitor m(h.rt, "shared");
   SharedVar<int> x(h.rt, "x", 0);
   for (int t = 0; t < 2; ++t) {
-    h.rt.spawn("t" + std::to_string(t), [&] {
+    h.rt.spawn(confail::numbered("t", t), [&] {
       Synchronized sync(m);
       x.set(x.get() + 1);
     });

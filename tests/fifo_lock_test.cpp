@@ -12,6 +12,7 @@
 #include "confail/monitor/runtime.hpp"
 #include "confail/monitor/shared_var.hpp"
 #include "confail/sched/virtual_scheduler.hpp"
+#include "confail/support/text.hpp"
 
 namespace comps = confail::components;
 namespace detect = confail::detect;
@@ -27,7 +28,7 @@ TEST(FifoLock, MutualExclusion) {
   comps::FifoLock lock(rt, "fifo");
   int inside = 0, maxInside = 0;
   for (int t = 0; t < 4; ++t) {
-    rt.spawn("t" + std::to_string(t), [&] {
+    rt.spawn(confail::numbered("t", t), [&] {
       for (int i = 0; i < 5; ++i) {
         comps::FifoLock::Guard g(lock);
         ++inside;
@@ -52,7 +53,7 @@ TEST(FifoLock, ServesTicketsInRequestOrder) {
     comps::FifoLock lock(rt, "fifo");
     std::vector<int> requestOrder, serviceOrder;
     for (int t = 0; t < 4; ++t) {
-      rt.spawn("t" + std::to_string(t), [&, t] {
+      rt.spawn(confail::numbered("t", t), [&, t] {
         lock.lock();
         serviceOrder.push_back(t);
         rt.schedulePoint();
@@ -108,7 +109,7 @@ TEST(FifoLock, TraceIsCleanUnderSuite) {
   comps::FifoLock lock(rt, "fifo");
   confail::monitor::SharedVar<int> data(rt, "data", 0);
   for (int t = 0; t < 3; ++t) {
-    rt.spawn("t" + std::to_string(t), [&] {
+    rt.spawn(confail::numbered("t", t), [&] {
       for (int i = 0; i < 4; ++i) {
         comps::FifoLock::Guard g(lock);
         data.set(data.get() + 1);
@@ -140,7 +141,7 @@ TEST(DetectorSuite, RunsEveryDetectorAndFindsSeededFaults) {
   Runtime rt(trace, s, 1);
   confail::monitor::SharedVar<int> x(rt, "x", 0);
   for (int t = 0; t < 2; ++t) {
-    rt.spawn("t" + std::to_string(t), [&] { x.set(x.get() + 1); });
+    rt.spawn(confail::numbered("t", t), [&] { x.set(x.get() + 1); });
   }
   ASSERT_EQ(s.run().outcome, sched::Outcome::Completed);
 

@@ -12,6 +12,7 @@
 #include "confail/monitor/shared_var.hpp"
 #include "confail/sched/explorer.hpp"
 #include "confail/sched/virtual_scheduler.hpp"
+#include "confail/support/text.hpp"
 
 namespace ev = confail::events;
 namespace mon = confail::monitor;
@@ -55,7 +56,7 @@ TEST(Monitor, MutualExclusionUnderContention) {
   int inside = 0;
   int maxInside = 0;
   for (int t = 0; t < 4; ++t) {
-    h.rt.spawn("t" + std::to_string(t), [&] {
+    h.rt.spawn(confail::numbered("t", t), [&] {
       for (int i = 0; i < 25; ++i) {
         Synchronized sync(m);
         ++inside;
@@ -161,7 +162,7 @@ TEST(Monitor, NotifyAllWakesEveryWaiter) {
   int woke = 0;
   bool go = false;
   for (int i = 0; i < 3; ++i) {
-    h.rt.spawn("w" + std::to_string(i), [&] {
+    h.rt.spawn(confail::numbered("w", i), [&] {
       Synchronized sync(m);
       while (!go) m.wait();
       ++woke;
@@ -185,7 +186,7 @@ TEST(Monitor, NotifyOneWakesExactlyOne) {
   Monitor m(h.rt, "m");
   bool go = false;
   for (int i = 0; i < 3; ++i) {
-    h.rt.spawn("w" + std::to_string(i), [&] {
+    h.rt.spawn(confail::numbered("w", i), [&] {
       Synchronized sync(m);
       while (!go) m.wait();
     });
@@ -268,7 +269,7 @@ TEST(Monitor, FifoWakePolicyWakesOldestWaiter) {
   std::vector<int> wakeOrder;
   bool go = false;
   for (int i = 0; i < 3; ++i) {
-    h.rt.spawn("w" + std::to_string(i), [&, i] {
+    h.rt.spawn(confail::numbered("w", i), [&, i] {
       Synchronized sync(m);
       while (!go) m.wait();
       wakeOrder.push_back(i);
@@ -295,7 +296,7 @@ TEST(Monitor, LifoWakePolicyWakesNewestWaiter) {
   std::vector<int> wakeOrder;
   bool go = false;
   for (int i = 0; i < 3; ++i) {
-    h.rt.spawn("w" + std::to_string(i), [&, i] {
+    h.rt.spawn(confail::numbered("w", i), [&, i] {
       Synchronized sync(m);
       while (!go) m.wait();
       wakeOrder.push_back(i);
@@ -433,7 +434,7 @@ TEST(MonitorReal, ContendedCounterStaysConsistent) {
   Monitor m(rt, "m");
   int counter = 0;
   for (int t = 0; t < 4; ++t) {
-    rt.spawn("t" + std::to_string(t), [&] {
+    rt.spawn(confail::numbered("t", t), [&] {
       for (int i = 0; i < 500; ++i) {
         Synchronized sync(m);
         ++counter;
@@ -562,7 +563,7 @@ TEST(Monitor, AbortWhileManyQueuedOnOneMonitor) {
     m.wait();  // blocks holding nothing; never notified
   });
   for (int t = 0; t < 5; ++t) {
-    h.rt.spawn("q" + std::to_string(t), [&] {
+    h.rt.spawn(confail::numbered("q", t), [&] {
       for (int k = 0; k < 3; ++k) h.rt.schedulePoint();
       Synchronized sync(m);
       m.wait();

@@ -13,6 +13,7 @@
 #include "confail/petri/trace_validator.hpp"
 #include "confail/sched/explorer.hpp"
 #include "confail/sched/virtual_scheduler.hpp"
+#include "confail/support/text.hpp"
 
 #include <algorithm>
 #include <map>
@@ -428,7 +429,7 @@ TEST(ModelCrossCheck, ExhaustiveExplorationVisitsEveryReachableNetState) {
           }
         };
         for (int t = 0; t < 2; ++t) {
-          st->rt.spawn("t" + std::to_string(t), [st] {
+          st->rt.spawn(confail::numbered("t", t), [st] {
             confail::monitor::Synchronized sync(st->m);
             // A schedule point inside the critical section makes the
             // "one in C, the other requesting" markings reachable.

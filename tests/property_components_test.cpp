@@ -25,6 +25,7 @@
 #include "confail/monitor/runtime.hpp"
 #include "confail/petri/trace_validator.hpp"
 #include "confail/sched/virtual_scheduler.hpp"
+#include "confail/support/text.hpp"
 
 namespace comps = confail::components;
 namespace detect = confail::detect;
@@ -97,7 +98,7 @@ TEST_P(BoundedBufferSweep, ConservesItemsRespectsCapacityAndIsClean) {
   long sumIn = 0, sumOut = 0;
   int maxSize = 0;
   for (int p = 0; p < producers; ++p) {
-    rt.spawn("p" + std::to_string(p), [&, p] {
+    rt.spawn(confail::numbered("p", p), [&, p] {
       for (int i = 0; i < perProducer; ++i) {
         int v = p * 1000 + i;
         sumIn += v;
@@ -107,7 +108,7 @@ TEST_P(BoundedBufferSweep, ConservesItemsRespectsCapacityAndIsClean) {
     });
   }
   for (int c = 0; c < consumers; ++c) {
-    rt.spawn("c" + std::to_string(c), [&] {
+    rt.spawn(confail::numbered("c", c), [&] {
       for (int i = 0; i < total / consumers; ++i) sumOut += buf.take();
     });
   }
@@ -197,7 +198,7 @@ TEST_P(SemaphoreSweep, NeverExceedsPermits) {
   comps::CountingSemaphore sem(rt, "sem", permits);
   int inside = 0, maxInside = 0;
   for (int t = 0; t < threads; ++t) {
-    rt.spawn("t" + std::to_string(t), [&] {
+    rt.spawn(confail::numbered("t", t), [&] {
       for (int i = 0; i < 5; ++i) {
         sem.acquire();
         ++inside;
@@ -248,7 +249,7 @@ TEST_P(BarrierSweep, EveryGenerationCompletesExactlyOncePerParty) {
   comps::CyclicBarrier bar(rt, "bar", parties);
   std::map<int, int> generationCount;
   for (int t = 0; t < parties; ++t) {
-    rt.spawn("t" + std::to_string(t), [&] {
+    rt.spawn(confail::numbered("t", t), [&] {
       for (int round = 0; round < rounds; ++round) {
         ++generationCount[bar.await()];
       }

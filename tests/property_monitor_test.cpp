@@ -19,6 +19,7 @@
 #include "confail/monitor/shared_var.hpp"
 #include "confail/petri/trace_validator.hpp"
 #include "confail/sched/virtual_scheduler.hpp"
+#include "confail/support/text.hpp"
 
 namespace ev = confail::events;
 namespace sched = confail::sched;
@@ -68,7 +69,7 @@ WorkloadResult runWorkload(const SweepParam& p, ev::Trace& trace) {
   int arrivals = 0;
 
   for (int t = 0; t < p.threads; ++t) {
-    rt.spawn("t" + std::to_string(t), [&, t] {
+    rt.spawn(confail::numbered("t", t), [&, t] {
       // Phase 1: contended critical sections.
       for (int i = 0; i < 10; ++i) {
         Synchronized sync(m);
@@ -172,7 +173,8 @@ class SpuriousSweep : public testing::TestWithParam<std::tuple<double, std::uint
 namespace {
 std::string spuriousName(
     const testing::TestParamInfo<std::tuple<double, std::uint64_t>>& info) {
-  return "p" + std::to_string(static_cast<int>(std::get<0>(info.param) * 100)) +
+  return confail::numbered(
+             "p", static_cast<int>(std::get<0>(info.param) * 100)) +
          "_seed" + std::to_string(std::get<1>(info.param));
 }
 std::string depthName(const testing::TestParamInfo<int>& info) {
@@ -194,7 +196,7 @@ TEST_P(SpuriousSweep, GuardedWaitsAbsorbSpuriousWakes) {
   int token = 0;
   const int rounds = 6;
   for (int t = 0; t < 2; ++t) {
-    rt.spawn("t" + std::to_string(t), [&, t] {
+    rt.spawn(confail::numbered("t", t), [&, t] {
       for (int i = 0; i < rounds; ++i) {
         Synchronized sync(m);
         while (token % 2 != t) m.wait();

@@ -17,6 +17,7 @@
 #include "confail/sched/explorer.hpp"
 #include "confail/support/rng.hpp"
 #include "confail/sched/virtual_scheduler.hpp"
+#include "confail/support/text.hpp"
 
 namespace sched = confail::sched;
 using confail::events::ThreadId;
@@ -113,7 +114,7 @@ struct ExploreParam {
 };
 
 std::string exploreName(const testing::TestParamInfo<ExploreParam>& info) {
-  return "t" + std::to_string(info.param.threads) + "_y" +
+  return confail::numbered("t", info.param.threads) + "_y" +
          std::to_string(info.param.yields);
 }
 

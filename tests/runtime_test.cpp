@@ -11,6 +11,7 @@
 #include "confail/monitor/runtime.hpp"
 #include "confail/monitor/shared_var.hpp"
 #include "confail/sched/virtual_scheduler.hpp"
+#include "confail/support/text.hpp"
 
 namespace ev = confail::events;
 namespace sched = confail::sched;
@@ -126,7 +127,7 @@ TEST(Runtime, RealModeSpawnAssignsDistinctIds) {
   std::mutex mu;
   std::set<ev::ThreadId> ids;
   for (int i = 0; i < 4; ++i) {
-    rt.spawn("t" + std::to_string(i), [&] {
+    rt.spawn(confail::numbered("t", i), [&] {
       std::lock_guard<std::mutex> g(mu);
       ids.insert(rt.currentThread());
     });
@@ -142,7 +143,7 @@ TEST(Runtime, NoiseHookDoesNotAffectCorrectness) {
   confail::monitor::Monitor m(rt, "m");
   int counter = 0;
   for (int t = 0; t < 4; ++t) {
-    rt.spawn("t" + std::to_string(t), [&] {
+    rt.spawn(confail::numbered("t", t), [&] {
       for (int i = 0; i < 200; ++i) {
         confail::monitor::Synchronized sync(m);
         ++counter;

@@ -215,7 +215,10 @@ TEST(SchedIncrementalTest, InjectorStateAndTraceSurviveRestore) {
     (void)cfg.explore([&](const inject::RunView& view) {
       std::string s = "dev=" + std::to_string(view.deviationsApplied);
       if (view.trace != nullptr) {
-        for (const auto& e : view.trace->events()) s += "\n" + e.toString();
+        for (const auto& e : view.trace->events()) {
+          s += '\n';
+          s += e.toString();
+        }
       }
       sigs[view.schedule] = s;
       return true;

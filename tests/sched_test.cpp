@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <exception>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "confail/sched/explorer.hpp"
@@ -170,9 +174,65 @@ TEST(VirtualScheduler, DestructorCleansUpWithoutRun) {
   {
     VirtualScheduler s(strat);
     s.spawn("never-runs", [] {});
-    // destructor must reap the parked worker without hanging
+    // destructor must tear down the never-started fiber without hanging
   }
   SUCCEED();
+}
+
+TEST(VirtualScheduler, LogicalThreadsRunOnTheControllerThread) {
+  // Every logical thread is a fiber on the OS thread that calls run(),
+  // including threads spawned mid-run: no OS thread per logical thread.
+  RoundRobinStrategy strat;
+  VirtualScheduler s(strat);
+  const std::thread::id controller = std::this_thread::get_id();
+  int steps = 0;
+  int onController = 0;
+  auto body = [&] {
+    for (int i = 0; i < 3; ++i) {
+      ++steps;
+      if (std::this_thread::get_id() == controller) ++onController;
+      s.yield();
+    }
+  };
+  s.spawn("a", body);
+  s.spawn("b", body);
+  s.spawn("spawner", [&] { s.spawn("child", body); });
+  auto r = s.run();
+  EXPECT_EQ(r.outcome, Outcome::Completed);
+  EXPECT_EQ(steps, 9);
+  EXPECT_EQ(onController, steps);
+}
+
+TEST(VirtualScheduler, ExceptionStateIsPerLogicalThread) {
+  // Two logical threads reach schedule points inside their catch blocks
+  // and leave them in the opposite order they entered: each must still see
+  // its own exception, and a third thread outside any handler sees none.
+  RoundRobinStrategy strat;
+  VirtualScheduler s(strat);
+  std::vector<std::string> seen;
+  bool bystanderSawException = true;
+  auto catcher = [&](const char* tag, int yields) {
+    return [&, tag, yields] {
+      try {
+        throw std::runtime_error(tag);
+      } catch (const std::runtime_error& e) {
+        for (int i = 0; i < yields; ++i) s.yield();
+        seen.push_back(e.what());
+        EXPECT_NE(std::current_exception(), nullptr);
+      }
+      EXPECT_EQ(std::current_exception(), nullptr);
+    };
+  };
+  s.spawn("outer", catcher("outer", 4));
+  s.spawn("inner", catcher("inner", 1));
+  s.spawn("bystander", [&] {
+    s.yield();
+    bystanderSawException = std::current_exception() != nullptr;
+  });
+  auto r = s.run();
+  EXPECT_EQ(r.outcome, Outcome::Completed) << r.errorMessage;
+  EXPECT_EQ(seen, (std::vector<std::string>{"inner", "outer"}));
+  EXPECT_FALSE(bystanderSawException);
 }
 
 TEST(Explorer, CoversAllInterleavingsOfTwoThreads) {

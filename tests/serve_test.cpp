@@ -1,13 +1,12 @@
 // Campaign service tests: the JobSpec grid contract, the spool store, and
-// the daemon's resume guarantee — a SIGKILLed server restarted over the
-// same root re-runs only the missing shards and produces byte-identical
-// merged reports.
+// the daemon's resume guarantee — a server restarted over a root with some
+// shards landed (after SIGKILL, or pre-landed by hand) runs only the
+// missing shards and produces byte-identical merged reports and events.
 #include <gtest/gtest.h>
 
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <string>
 #include <thread>
@@ -17,6 +16,7 @@
 #include <unistd.h>
 
 #include "confail/inject/job_spec.hpp"
+#include "confail/obs/metrics.hpp"
 #include "confail/serve/client.hpp"
 #include "confail/serve/merge.hpp"
 #include "confail/serve/server.hpp"
@@ -66,14 +66,39 @@ std::string slurp(const std::string& path) {
   return out;
 }
 
-std::size_t journalLines(const std::string& path) {
-  std::ifstream in(path);
-  std::string line;
+std::size_t countTrue(const std::vector<bool>& v) {
   std::size_t n = 0;
-  while (std::getline(in, line)) {
-    if (!line.empty()) ++n;
-  }
+  for (const bool b : v) n += b ? 1 : 0;
   return n;
+}
+
+// Serve `root` to completion with an in-process pool; returns the number
+// of shards this daemon executed (serve.shards_completed).
+std::uint64_t serveToCompletion(const std::string& root, std::size_t pool) {
+  confail::obs::Registry reg;
+  serve::ServerOptions opts;
+  opts.root = root;
+  opts.poolSize = pool;
+  opts.subprocess = false;
+  opts.exitWhenIdle = true;
+  opts.metrics = &reg;
+  serve::Server server(std::move(opts));
+  EXPECT_EQ(server.run(), 0);
+  return reg.snapshot().counter("serve.shards_completed");
+}
+
+// The merged reports and event feed of a completed job in `root` must be
+// byte-equal to an uninterrupted run of the same spec in a fresh root.
+void expectSameAsFreshRun(const std::string& root, const std::string& id,
+                          const inject::JobSpec& spec) {
+  TempRoot cleanRoot;
+  ASSERT_EQ(serve::submitJob(cleanRoot.str(), spec), id);
+  serveToCompletion(cleanRoot.str(), 1);
+  const serve::CampaignStore store(root);
+  const serve::CampaignStore cleanStore(cleanRoot.str());
+  EXPECT_EQ(slurp(store.findingsPath(id)), slurp(cleanStore.findingsPath(id)));
+  EXPECT_EQ(slurp(store.sarifPath(id)), slurp(cleanStore.sarifPath(id)));
+  EXPECT_EQ(slurp(store.eventsPath(id)), slurp(cleanStore.eventsPath(id)));
 }
 
 }  // namespace
@@ -268,10 +293,11 @@ TEST(Server, RunsSubmittedJobToCompletion) {
   EXPECT_NE(results.matrixJson.find("confail.injection.v1"),
             std::string::npos);
 
-  // The heartbeat feed carries every shard's captured run.
+  // Every shard landed, and the event feed carries their captured runs.
   const serve::CampaignStore& store = server.store();
+  EXPECT_EQ(countTrue(store.completedShards(id, st.shardsTotal)),
+            st.shardsTotal);
   EXPECT_GT(fs::file_size(store.eventsPath(id)), 0u);
-  EXPECT_EQ(journalLines(store.journalPath(id)), st.shardsTotal);
 }
 
 TEST(Server, CrashResumeRerunsOnlyMissingShards) {
@@ -328,44 +354,62 @@ TEST(Server, CrashResumeRerunsOnlyMissingShards) {
   std::size_t landedAtKill = 0;
   for (const bool d : doneBeforeResume) landedAtKill += d ? 1 : 0;
   ASSERT_LT(landedAtKill, total) << "daemon finished before the kill";
-  const std::size_t journalBefore = journalLines(store.journalPath(id));
 
-  // Second daemon over the same root: must finish the job.
-  serve::ServerOptions opts;
-  opts.root = root.str();
-  opts.poolSize = 2;
-  opts.subprocess = false;
-  opts.exitWhenIdle = true;
-  serve::Server server(std::move(opts));
-  EXPECT_EQ(server.run(), 0);
+  // Second daemon over the same root: must finish the job, executing
+  // exactly the shards whose files had not landed when the first died.
+  EXPECT_EQ(serveToCompletion(root.str(), 2), total - landedAtKill);
 
   serve::JobState st;
   ASSERT_TRUE(serve::jobStatus(root.str(), id, st));
   EXPECT_EQ(st.status, "completed");
   EXPECT_EQ(st.shardsDone, total);
 
-  // Zero re-runs: the journal is append-only, completed shards are never
-  // re-journaled, so both daemons together journal each shard exactly once.
-  EXPECT_EQ(journalLines(store.journalPath(id)), total);
-  EXPECT_EQ(journalLines(store.journalPath(id)) - journalBefore,
-            total - landedAtKill);
+  expectSameAsFreshRun(root.str(), id, spec);
+}
 
-  // Byte-identical reports: an uninterrupted run of the same spec in a
-  // fresh root merges to the same findings and SARIF documents.
-  TempRoot cleanRoot;
-  ASSERT_EQ(serve::submitJob(cleanRoot.str(), spec), id);
-  serve::ServerOptions cleanOpts;
-  cleanOpts.root = cleanRoot.str();
-  cleanOpts.poolSize = 1;
-  cleanOpts.subprocess = false;
-  cleanOpts.exitWhenIdle = true;
-  serve::Server cleanServer(std::move(cleanOpts));
-  EXPECT_EQ(cleanServer.run(), 0);
+TEST(Server, ResumeRunsOnlyShardsWithoutALandedFile) {
+  // The resume criterion without a kill: shards landed by hand (the same
+  // runShard + writeShard a worker performs) are never executed again, and
+  // a stray temp file from an interrupted write does not count as landed.
+  TempRoot root;
+  inject::JobSpec spec = smallSpec();
+  spec.scenarios = {"fig2", "lock_order"};
+  serve::CampaignStore store(root.str());
+  ASSERT_TRUE(store.init());
+  const std::string id = store.submit(spec);
+  inject::JobSpec adopted;
+  std::string error;
+  ASSERT_TRUE(store.adoptJob(id, adopted, error)) << error;
 
-  const serve::CampaignStore cleanStore(cleanRoot.str());
-  EXPECT_EQ(slurp(store.findingsPath(id)),
-            slurp(cleanStore.findingsPath(id)));
-  EXPECT_EQ(slurp(store.sarifPath(id)), slurp(cleanStore.sarifPath(id)));
+  const std::vector<inject::ShardSpec> shards = inject::expandShards(adopted);
+  ASSERT_GT(shards.size(), 2u);
+  inject::RunShardOptions ro;
+  ro.captureEvents = true;
+  std::vector<std::size_t> preLanded;
+  for (std::size_t i = 0; i < shards.size(); i += 2) {
+    ASSERT_TRUE(store.writeShard(id, inject::runShard(adopted, shards[i], ro)));
+    preLanded.push_back(i);
+  }
+  std::vector<std::string> before;
+  for (const std::size_t i : preLanded) {
+    before.push_back(slurp(store.shardPath(id, i)));
+  }
+  const std::string stray = store.shardPath(id, 1) + ".tmp.99999";
+  ASSERT_TRUE(serve::CampaignStore::writeFileAtomic(stray, "{ \"schema\":"));
+  ASSERT_EQ(countTrue(store.completedShards(id, shards.size())),
+            preLanded.size());
+
+  EXPECT_EQ(serveToCompletion(root.str(), 2),
+            shards.size() - preLanded.size());
+  for (std::size_t k = 0; k < preLanded.size(); ++k) {
+    EXPECT_EQ(slurp(store.shardPath(id, preLanded[k])), before[k]);
+  }
+  serve::JobState st;
+  ASSERT_TRUE(serve::jobStatus(root.str(), id, st));
+  EXPECT_EQ(st.status, "completed");
+  EXPECT_EQ(st.shardsDone, shards.size());
+
+  expectSameAsFreshRun(root.str(), id, spec);
 }
 
 TEST(Server, MalformedSubmissionIsDroppedNotLooped) {

@@ -235,6 +235,7 @@ int cmdSubmit(const char* prog, int argc, char** argv) {
   spec.maxRuns = 400;  // service default: modest per-cell budget
   spec.maxSteps = 2000;
   bool builtFromFlags = false;
+  bool reductionGiven = false;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* { return flagValue(i, argc, argv); };
@@ -275,7 +276,9 @@ int cmdSubmit(const char* prog, int argc, char** argv) {
                      v == nullptr ? "" : v);
         return usageSubmit(prog);
       }
-      if (!builtFromFlags) spec.reductions.clear();
+      // The first --reduction replaces the default {none}; later ones add.
+      if (!reductionGiven) spec.reductions.clear();
+      reductionGiven = true;
       spec.reductions.push_back(r);
       builtFromFlags = true;
     } else if (arg == "--max-runs") {
