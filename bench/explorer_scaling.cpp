@@ -1,8 +1,8 @@
-// Explorer throughput: worker scaling, fingerprint pruning, and the
-// reduction ladder (none / sleep sets / source-set DPOR).
+// Explorer throughput: worker scaling, the reduction ladder (full
+// enumeration vs source-set DPOR), and incremental exploration vs replay.
 //
 // Three questions, measured on the canonical scenarios
-// (components/scenarios.hpp) and emitted as BENCH_explorer.json:
+// (components/scenario_registry.hpp) and emitted as BENCH_explorer.json:
 //
 //   1. Scaling — how does runs/sec grow with worker threads?  The same
 //      exhaustible FF-T5 tree is explored at 1, 2, 4 and 8 workers
@@ -12,20 +12,14 @@
 //      has >= 8 hardware threads — on smaller machines the numbers are
 //      reported as measured.
 //
-//   2. Pruning — how much of the Figure-2 tree does (depth, fingerprint)
-//      dedup remove, and does the FF-T5 companion still find the same set
-//      of distinct deadlock states?  The >= 30% reduction bar is asserted
-//      in full mode (measured: ~95%+ on both trees).
-//
-//   3. Reductions — the Figure-2 tree at branch depth 6 under each
-//      Reduction level, at 1/2/8 workers.  DPOR must explore at most 50%
-//      of the sleep-set run count (measured: ~12%), with run counts
-//      identical across worker counts, and it must preserve the distinct
+//   2. Reductions — the Figure-2 tree at branch depth 6 under each
+//      Reduction level, at 1/2/8 workers.  Run counts must be identical
+//      across worker counts, and DPOR must preserve the distinct
 //      deadlock-state set of full enumeration on a deadlocking companion
 //      scenario.  This section runs full-size even under --smoke: the
-//      whole ladder is ~5k runs.
+//      whole ladder is ~10k runs.
 //
-//   4. Incremental vs replay — with DPOR collapsing the run count, per-run
+//   3. Incremental vs replay — with DPOR collapsing the run count, per-run
 //      cost is dominated by prefix replay; copy-on-write branch snapshots
 //      (Options::incremental) must deliver >= 2x runs/sec on the FF-T5
 //      tree at branch depth 8 with identical observables.  Both sides run
@@ -37,7 +31,7 @@
 // hardware threads as the row has workers; otherwise the row carries an
 // explicit "skipped_reason" instead of a timesharing artifact.
 //
-// `--smoke` shrinks the scaling/pruning trees so the whole binary finishes
+// `--smoke` shrinks the scaling tree so the whole binary finishes
 // in a couple of seconds; the bench_smoke ctest entry runs that mode.
 #include <chrono>
 #include <cstdio>
@@ -48,7 +42,7 @@
 #include <vector>
 
 #include "bench_json.hpp"
-#include "confail/components/scenarios.hpp"
+#include "confail/components/scenario_registry.hpp"
 #include "confail/sched/explorer.hpp"
 #include "confail/sched/virtual_scheduler.hpp"
 
@@ -56,8 +50,6 @@ namespace sched = confail::sched;
 namespace scenarios = confail::components::scenarios;
 
 namespace {
-
-using Scenario = void (*)(sched::VirtualScheduler&);
 
 std::uint64_t deadlockSignature(const sched::RunResult& r) {
   std::uint64_t h = sched::kFpSeed;
@@ -77,23 +69,22 @@ struct Measured {
 
 using Reduction = sched::ExhaustiveExplorer::Reduction;
 
-Measured run(Scenario scenario, std::size_t workers, std::size_t branchDepth,
-             bool prune, Reduction reduction = Reduction::None,
+Measured run(const char* scenario, std::size_t workers,
+             std::size_t branchDepth, Reduction reduction = Reduction::None,
              bool incremental = true) {
   sched::ExhaustiveExplorer::Options eo;
   eo.maxRuns = 2000000;
   eo.maxSteps = 20000;
   eo.maxBranchDepth = branchDepth;
   eo.workers = workers;
-  eo.fingerprintPruning = prune;
   eo.reduction = reduction;
   eo.incremental = incremental;
   sched::ExhaustiveExplorer explorer(eo);
   Measured m;
   const auto t0 = std::chrono::steady_clock::now();
   m.stats = explorer.explore(
-      scenario, [&m](const std::vector<sched::ThreadId>&,
-                     const sched::RunResult& r) {
+      scenarios::find(scenario)->fn,
+      [&m](const std::vector<sched::ThreadId>&, const sched::RunResult& r) {
         if (r.outcome == sched::Outcome::Deadlock) {
           m.deadlockSigs.insert(deadlockSignature(r));
         }
@@ -104,12 +95,6 @@ Measured run(Scenario scenario, std::size_t workers, std::size_t branchDepth,
   return m;
 }
 
-double pct(std::uint64_t part, std::uint64_t whole) {
-  return whole == 0 ? 0.0
-                    : 100.0 * static_cast<double>(part) /
-                          static_cast<double>(whole);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -117,7 +102,7 @@ int main(int argc, char** argv) {
   const unsigned hw = std::thread::hardware_concurrency();
   bool ok = true;
 
-  std::printf("=== Explorer scaling & pruning (%s mode, %u hw threads) ===\n\n",
+  std::printf("=== Explorer scaling (%s mode, %u hw threads) ===\n\n",
               smoke ? "smoke" : "full", hw);
 
   confail::benchjson::Writer json;
@@ -130,9 +115,6 @@ int main(int argc, char** argv) {
   // ---- 1. worker scaling on a fixed exhaustible tree ----------------------
   // Smoke: the tiny lock-order tree.  Full: the single-item FF-T5 tree,
   // branch-bounded to depth 8 (~26k runs serial).
-  const Scenario scaleScenario =
-      smoke ? static_cast<Scenario>(scenarios::lockOrder)
-            : static_cast<Scenario>(scenarios::ffT5Small);
   const std::size_t scaleDepth =
       smoke ? static_cast<std::size_t>(-1) : 8;
   const char* scaleName = smoke ? "lock_order" : "ff_t5_small";
@@ -151,7 +133,7 @@ int main(int argc, char** argv) {
   double speedupAt8 = 0.0;
   std::uint64_t serialRuns = 0;
   for (std::size_t workers : {1u, 2u, 4u, 8u}) {
-    Measured m = run(scaleScenario, workers, scaleDepth, /*prune=*/false);
+    Measured m = run(scaleName, workers, scaleDepth);
     if (workers == 1) {
       serialMs = m.ms;
       serialRuns = m.stats.runs;
@@ -203,57 +185,7 @@ int main(int argc, char** argv) {
                 smoke ? "smoke mode" : "host has < 8 hardware threads");
   }
 
-  // ---- 2. fingerprint pruning: reduction + deadlock-set preservation ------
-  // Figure-2 (deadlock-free within the bound) measures the reduction; the
-  // FF-T5 companion checks the distinct-deadlock-state set is unchanged.
-  const std::size_t fig2Depth = smoke ? 4 : 6;
-  Measured fig2Plain = run(scenarios::figure2, 1, fig2Depth, false);
-  Measured fig2Pruned = run(scenarios::figure2, 1, fig2Depth, true);
-  const double reduction =
-      100.0 - pct(fig2Pruned.stats.runs, fig2Plain.stats.runs);
-
-  const Scenario dlScenario =
-      smoke ? static_cast<Scenario>(scenarios::lockOrder)
-            : static_cast<Scenario>(scenarios::ffT5Small);
-  const std::size_t dlDepth = smoke ? static_cast<std::size_t>(-1) : 8;
-  const char* dlName = smoke ? "lock_order" : "ff_t5_small";
-  Measured dlPlain = run(dlScenario, 1, dlDepth, false);
-  Measured dlPruned = run(dlScenario, 1, dlDepth, true);
-  const bool setsEqual = dlPlain.deadlockSigs == dlPruned.deadlockSigs &&
-                         !dlPlain.deadlockSigs.empty();
-
-  std::printf("\npruning (figure2, depth %zu): %llu -> %llu runs "
-              "(%.1f%% reduction), %llu states deduped\n",
-              fig2Depth,
-              static_cast<unsigned long long>(fig2Plain.stats.runs),
-              static_cast<unsigned long long>(fig2Pruned.stats.runs),
-              reduction,
-              static_cast<unsigned long long>(fig2Pruned.stats.dedupedStates));
-  std::printf("deadlock set (%s): %zu distinct state(s), %s under pruning\n",
-              dlName, dlPlain.deadlockSigs.size(),
-              setsEqual ? "preserved" : "CHANGED");
-
-  json.key("pruning");
-  json.beginObject();
-  json.field("scenario", "figure2");
-  json.field("branch_depth", fig2Depth);
-  json.field("runs_unpruned", fig2Plain.stats.runs);
-  json.field("runs_pruned", fig2Pruned.stats.runs);
-  json.field("reduction_pct", reduction);
-  json.field("deduped_states", fig2Pruned.stats.dedupedStates);
-  json.field("pruned_branches", fig2Pruned.stats.prunedBranches);
-  json.field("deadlock_scenario", dlName);
-  json.field("deadlock_states", dlPlain.deadlockSigs.size());
-  json.field("deadlock_sets_equal", setsEqual);
-  json.endObject();
-
-  ok = ok && fig2Plain.stats.exhausted && fig2Pruned.stats.exhausted &&
-       setsEqual && reduction >= 30.0;
-  if (reduction < 30.0) {
-    std::printf("FAIL: pruning reduction %.1f%% < 30%%\n", reduction);
-  }
-
-  // ---- 3. reduction ladder: none vs sleep sets vs source-set DPOR ---------
+  // ---- 2. reduction ladder: full enumeration vs source-set DPOR -----------
   // Full-size in both modes (the ladder is small): Figure-2 at branch
   // depth 6, every reduction level at 1/2/8 workers.
   const std::size_t redDepth = 6;
@@ -262,7 +194,6 @@ int main(int argc, char** argv) {
     Reduction reduction;
   };
   const Level levels[] = {{"none", Reduction::None},
-                          {"sleep", Reduction::Sleep},
                           {"dpor", Reduction::Dpor}};
 
   std::printf("\nreductions (figure2, depth %zu):\n", redDepth);
@@ -276,13 +207,11 @@ int main(int argc, char** argv) {
   json.key("rows");
   json.beginArray();
 
-  std::uint64_t runsByLevel[3] = {0, 0, 0};
-  double serialMsByLevel[3] = {0.0, 0.0, 0.0};
-  for (std::size_t li = 0; li < 3; ++li) {
+  std::uint64_t runsByLevel[2] = {0, 0};
+  double serialMsByLevel[2] = {0.0, 0.0};
+  for (std::size_t li = 0; li < 2; ++li) {
     for (std::size_t workers : {1u, 2u, 8u}) {
-      Measured m =
-          run(scenarios::figure2, workers, redDepth, /*prune=*/false,
-              levels[li].reduction);
+      Measured m = run("fig2", workers, redDepth, levels[li].reduction);
       if (workers == 1) {
         runsByLevel[li] = m.stats.runs;
         serialMsByLevel[li] = m.ms;
@@ -305,32 +234,19 @@ int main(int argc, char** argv) {
   }
   json.endArray();
 
-  const double dporVsSleepPct = pct(runsByLevel[2], runsByLevel[1]);
-  std::printf("dpor explores %.1f%% of the sleep-set run count "
-              "(%llu vs %llu; full enumeration %llu)\n",
-              dporVsSleepPct,
-              static_cast<unsigned long long>(runsByLevel[2]),
+  std::printf("dpor explores %llu of full enumeration's %llu runs\n",
               static_cast<unsigned long long>(runsByLevel[1]),
               static_cast<unsigned long long>(runsByLevel[0]));
-  if (runsByLevel[2] * 2 > runsByLevel[1]) {
-    std::printf("FAIL: dpor %.1f%% of sleep runs > 50%%\n", dporVsSleepPct);
-    ok = false;
-  }
 
   // Failure-set preservation on a deadlocking companion: DPOR owes the
   // exact distinct-deadlock-state set of full enumeration.  Full mode uses
   // the FF-T5 tree at depth 7 (calibrated in tests/sched_dpor_test.cpp —
   // bounded POR genuinely diverges at tighter bounds); smoke uses the
   // unbounded lock-order tree, where no bound caveat applies at all.
-  const Scenario redDlScenario =
-      smoke ? static_cast<Scenario>(scenarios::lockOrder)
-            : static_cast<Scenario>(scenarios::ffT5Small);
   const std::size_t redDlDepth = smoke ? static_cast<std::size_t>(-1) : 7;
   const char* redDlName = smoke ? "lock_order" : "ff_t5_small";
-  Measured redDlFull =
-      run(redDlScenario, 1, redDlDepth, false, Reduction::None);
-  Measured redDlDpor =
-      run(redDlScenario, 1, redDlDepth, false, Reduction::Dpor);
+  Measured redDlFull = run(redDlName, 1, redDlDepth, Reduction::None);
+  Measured redDlDpor = run(redDlName, 1, redDlDepth, Reduction::Dpor);
   const bool redSetsEqual = redDlFull.deadlockSigs == redDlDpor.deadlockSigs &&
                             !redDlFull.deadlockSigs.empty();
   std::printf("deadlock set (%s): %zu distinct state(s), %s under dpor "
@@ -341,25 +257,14 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(redDlDpor.stats.runs));
   ok = ok && redSetsEqual;
 
-  // Wall-clock: DPOR must not be slower than sleep sets on the tree it
-  // reduces ~8x.  Only asserted on hosts with >= 8 hardware threads —
-  // single-core CI boxes timeshare the worker rows and the serial
-  // measurements get too noisy to gate on.
-  if (!smoke && hw >= 8 && serialMsByLevel[2] > serialMsByLevel[1] * 1.25) {
-    std::printf("FAIL: dpor serial %.1fms > 1.25x sleep serial %.1fms\n",
-                serialMsByLevel[2], serialMsByLevel[1]);
-    ok = false;
-  }
-
-  json.field("dpor_vs_sleep_runs_pct", dporVsSleepPct);
-  json.field("sleep_serial_ms", serialMsByLevel[1]);
-  json.field("dpor_serial_ms", serialMsByLevel[2]);
+  json.field("none_serial_ms", serialMsByLevel[0]);
+  json.field("dpor_serial_ms", serialMsByLevel[1]);
   json.field("deadlock_scenario", redDlName);
   json.field("deadlock_states", redDlFull.deadlockSigs.size());
   json.field("deadlock_sets_equal", redSetsEqual);
   json.endObject();
 
-  // ---- 4. incremental vs replay -------------------------------------------
+  // ---- 3. incremental vs replay -------------------------------------------
   // The replay-bound configuration: DPOR has already collapsed the run
   // count, so per-run cost is dominated by re-executing each branch's
   // prefix from the root — exactly what copy-on-write checkpoints remove.
@@ -367,10 +272,10 @@ int main(int argc, char** argv) {
   // timesharing.  Full mode gates >= 2x runs/sec at branch depth 8; smoke
   // keeps the tree small and reports without asserting.
   const std::size_t incDepth = smoke ? 6 : 8;
-  Measured incReplay = run(scenarios::ffT5Small, 1, incDepth, false,
-                           Reduction::Dpor, /*incremental=*/false);
-  Measured incInc = run(scenarios::ffT5Small, 1, incDepth, false,
-                        Reduction::Dpor, /*incremental=*/true);
+  Measured incReplay =
+      run("ff_t5_small", 1, incDepth, Reduction::Dpor, /*incremental=*/false);
+  Measured incInc =
+      run("ff_t5_small", 1, incDepth, Reduction::Dpor, /*incremental=*/true);
   const double replayRps = incReplay.ms > 0.0
       ? 1000.0 * static_cast<double>(incReplay.stats.runs) / incReplay.ms
       : 0.0;

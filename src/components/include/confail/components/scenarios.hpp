@@ -10,7 +10,11 @@
 //                    many schedules wake a same-side waiter and deadlock.
 //   * disjointCounters — two threads incrementing two unrelated shared
 //                    variables; every interleaving commutes, the showcase
-//                    for the explorer's sleep-set reduction.
+//                    for the explorer's DPOR reduction.
+//
+// Every scenario has one signature, f(VirtualScheduler&, const
+// Instruments& = {}): a plain run is an instrumented one with default
+// Instruments.
 #pragma once
 
 #include <functional>
@@ -57,8 +61,7 @@ namespace detail {
 
 inline void boundedBufferScenario(confail::sched::VirtualScheduler& s,
                                   const BoundedBuffer<int>::Faults& faults,
-                                  int itemsPerThread = 2,
-                                  const Instruments& ins = {}) {
+                                  int itemsPerThread, const Instruments& ins) {
   // The State (and its trace) is kept alive by the spawned closures, which
   // the scheduler owns until the run finishes.
   struct State {
@@ -93,22 +96,14 @@ inline void boundedBufferScenario(confail::sched::VirtualScheduler& s,
 }  // namespace detail
 
 /// Figure-2 producer/consumer with a correct (notifyAll) buffer.
-inline void figure2(confail::sched::VirtualScheduler& s) {
-  detail::boundedBufferScenario(s, BoundedBuffer<int>::Faults{});
-}
 inline void figure2(confail::sched::VirtualScheduler& s,
-                    const Instruments& ins) {
+                    const Instruments& ins = {}) {
   detail::boundedBufferScenario(s, BoundedBuffer<int>::Faults{}, 2, ins);
 }
 
 /// FF-T5 mutant: notify() where notifyAll() is required.
-inline void ffT5Notify(confail::sched::VirtualScheduler& s) {
-  BoundedBuffer<int>::Faults f;
-  f.notifyOneOnly = true;
-  detail::boundedBufferScenario(s, f);
-}
 inline void ffT5Notify(confail::sched::VirtualScheduler& s,
-                       const Instruments& ins) {
+                       const Instruments& ins = {}) {
   BoundedBuffer<int>::Faults f;
   f.notifyOneOnly = true;
   detail::boundedBufferScenario(s, f, 2, ins);
@@ -118,13 +113,8 @@ inline void ffT5Notify(confail::sched::VirtualScheduler& s,
 /// capacity 1, notify().  The same missed-notification deadlock as
 /// ffT5Notify, but its schedule tree is small enough to exhaust unbounded —
 /// the workhorse of the parallel-determinism tests.
-inline void ffT5Small(confail::sched::VirtualScheduler& s) {
-  BoundedBuffer<int>::Faults f;
-  f.notifyOneOnly = true;
-  detail::boundedBufferScenario(s, f, /*itemsPerThread=*/1);
-}
 inline void ffT5Small(confail::sched::VirtualScheduler& s,
-                      const Instruments& ins) {
+                      const Instruments& ins = {}) {
   BoundedBuffer<int>::Faults f;
   f.notifyOneOnly = true;
   detail::boundedBufferScenario(s, f, /*itemsPerThread=*/1, ins);
@@ -133,7 +123,7 @@ inline void ffT5Small(confail::sched::VirtualScheduler& s,
 /// Classic lock-order deadlock (the paper's FF-T2 "locks held by several
 /// threads in a circular chain"): t0 takes A then B, t1 takes B then A.
 inline void lockOrder(confail::sched::VirtualScheduler& s,
-                      const Instruments& ins) {
+                      const Instruments& ins = {}) {
   struct State {
     events::Trace ownTrace;
     monitor::Runtime rt;
@@ -158,14 +148,11 @@ inline void lockOrder(confail::sched::VirtualScheduler& s,
     monitor::Synchronized ga(st->a);
   });
 }
-inline void lockOrder(confail::sched::VirtualScheduler& s) {
-  lockOrder(s, Instruments{});
-}
 
 /// Two threads on fully disjoint state: adjacent steps of different
 /// threads always commute.
 inline void disjointCounters(confail::sched::VirtualScheduler& s,
-                             const Instruments& ins) {
+                             const Instruments& ins = {}) {
   struct State {
     events::Trace ownTrace;
     monitor::Runtime rt;
@@ -188,9 +175,6 @@ inline void disjointCounters(confail::sched::VirtualScheduler& s,
     for (int i = 0; i < 2; ++i) st->b.set(st->b.get() + 1);
   });
 }
-inline void disjointCounters(confail::sched::VirtualScheduler& s) {
-  disjointCounters(s, Instruments{});
-}
 
 // ---------------------------------------------------------------------------
 // Fuzzer-found reproducers.  These are hand-translations of gen IR programs
@@ -208,7 +192,7 @@ inline void disjointCounters(confail::sched::VirtualScheduler& s) {
 /// `confail fuzz --seeds 0..40 --sabotage drop-deadlocks`), and doubles as
 /// the known-minimal fixture of the shrinker unit tests.
 inline void genSelfWait(confail::sched::VirtualScheduler& s,
-                        const Instruments& ins) {
+                        const Instruments& ins = {}) {
   struct State {
     events::Trace ownTrace;
     monitor::Runtime rt;
@@ -227,9 +211,6 @@ inline void genSelfWait(confail::sched::VirtualScheduler& s,
     st->m0.wait();
   });
 }
-inline void genSelfWait(confail::sched::VirtualScheduler& s) {
-  genSelfWait(s, Instruments{});
-}
 
 /// gen IR:  t0: lock m0; wait m0; unlock m0
 ///          t1: lock m0; notify m0; unlock m0      (2 threads, 1 monitor)
@@ -240,7 +221,7 @@ inline void genSelfWait(confail::sched::VirtualScheduler& s) {
 /// exactly 1 of its 16 schedules — the one where the waiter reaches its
 /// wait before the lone notifyAll fires — and deadlocks on the other 15.
 inline void genLostSignal(confail::sched::VirtualScheduler& s,
-                          const Instruments& ins) {
+                          const Instruments& ins = {}) {
   struct State {
     events::Trace ownTrace;
     monitor::Runtime rt;
@@ -263,9 +244,6 @@ inline void genLostSignal(confail::sched::VirtualScheduler& s,
     st->m0.notifyOne();
   });
 }
-inline void genLostSignal(confail::sched::VirtualScheduler& s) {
-  genLostSignal(s, Instruments{});
-}
 
 /// gen IR:  t0: lock m0; write v0; unlock m0
 ///          t1: write v0                           (2 threads, 1 mon, 1 var)
@@ -277,7 +255,7 @@ inline void genLostSignal(confail::sched::VirtualScheduler& s) {
 /// while t0 accesses it under m0); the clean-tier fuzz oracle proves
 /// generated *guarded* programs never trip these detectors.
 inline void genUnguardedWrite(confail::sched::VirtualScheduler& s,
-                              const Instruments& ins) {
+                              const Instruments& ins = {}) {
   struct State {
     events::Trace ownTrace;
     monitor::Runtime rt;
@@ -298,9 +276,6 @@ inline void genUnguardedWrite(confail::sched::VirtualScheduler& s,
     st->v0.set(st->v0.peek() + 1);
   });
   st->rt.spawn("t1", [st] { st->v0.set(st->v0.peek() + 1); });
-}
-inline void genUnguardedWrite(confail::sched::VirtualScheduler& s) {
-  genUnguardedWrite(s, Instruments{});
 }
 
 }  // namespace confail::components::scenarios

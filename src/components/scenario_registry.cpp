@@ -4,18 +4,18 @@ namespace confail::components::scenarios {
 
 namespace {
 
-// The scenario functions are overload sets (plain / instrumented), so the
-// table disambiguates them through lambdas when binding std::function.
-template <typename F>
-NamedScenario entry(std::string name, F fn, bool hasBuffer, bool faultSeeded,
-                    bool usesMonitor, bool usesWaitNotify,
-                    std::string starveVictim, std::string blurb) {
+// Every scenario takes (scheduler, instruments); the plain form is the
+// instrumented one with default Instruments.
+NamedScenario entry(std::string name,
+                    void (*ifn)(confail::sched::VirtualScheduler&,
+                                const Instruments&),
+                    bool hasBuffer, bool faultSeeded, bool usesMonitor,
+                    bool usesWaitNotify, std::string starveVictim,
+                    std::string blurb) {
   NamedScenario sc;
   sc.name = std::move(name);
-  sc.fn = [fn](confail::sched::VirtualScheduler& s) { fn(s); };
-  sc.ifn = [fn](confail::sched::VirtualScheduler& s, const Instruments& ins) {
-    fn(s, ins);
-  };
+  sc.ifn = ifn;
+  sc.fn = [ifn](confail::sched::VirtualScheduler& s) { ifn(s, {}); };
   sc.hasBuffer = hasBuffer;
   sc.faultSeeded = faultSeeded;
   sc.usesMonitor = usesMonitor;
@@ -25,91 +25,28 @@ NamedScenario entry(std::string name, F fn, bool hasBuffer, bool faultSeeded,
   return sc;
 }
 
-struct Fig2 {
-  void operator()(confail::sched::VirtualScheduler& s) const { figure2(s); }
-  void operator()(confail::sched::VirtualScheduler& s,
-                  const Instruments& i) const {
-    figure2(s, i);
-  }
-};
-struct FfT5 {
-  void operator()(confail::sched::VirtualScheduler& s) const { ffT5Notify(s); }
-  void operator()(confail::sched::VirtualScheduler& s,
-                  const Instruments& i) const {
-    ffT5Notify(s, i);
-  }
-};
-struct FfT5Small {
-  void operator()(confail::sched::VirtualScheduler& s) const { ffT5Small(s); }
-  void operator()(confail::sched::VirtualScheduler& s,
-                  const Instruments& i) const {
-    ffT5Small(s, i);
-  }
-};
-struct LockOrder {
-  void operator()(confail::sched::VirtualScheduler& s) const { lockOrder(s); }
-  void operator()(confail::sched::VirtualScheduler& s,
-                  const Instruments& i) const {
-    lockOrder(s, i);
-  }
-};
-struct Disjoint {
-  void operator()(confail::sched::VirtualScheduler& s) const {
-    disjointCounters(s);
-  }
-  void operator()(confail::sched::VirtualScheduler& s,
-                  const Instruments& i) const {
-    disjointCounters(s, i);
-  }
-};
-struct GenSelfWait {
-  void operator()(confail::sched::VirtualScheduler& s) const { genSelfWait(s); }
-  void operator()(confail::sched::VirtualScheduler& s,
-                  const Instruments& i) const {
-    genSelfWait(s, i);
-  }
-};
-struct GenLostSignal {
-  void operator()(confail::sched::VirtualScheduler& s) const {
-    genLostSignal(s);
-  }
-  void operator()(confail::sched::VirtualScheduler& s,
-                  const Instruments& i) const {
-    genLostSignal(s, i);
-  }
-};
-struct GenUnguardedWrite {
-  void operator()(confail::sched::VirtualScheduler& s) const {
-    genUnguardedWrite(s);
-  }
-  void operator()(confail::sched::VirtualScheduler& s,
-                  const Instruments& i) const {
-    genUnguardedWrite(s, i);
-  }
-};
-
 }  // namespace
 
 const std::vector<NamedScenario>& registry() {
   // Names, order and blurbs are stable CLI output; extend at the end.
   static const std::vector<NamedScenario> kScenarios = {
-      entry("fig2", Fig2{}, true, false, true, true, "c1",
+      entry("fig2", figure2, true, false, true, true, "c1",
             "Figure 2 producer/consumer, correct guards (no failure expected)"),
-      entry("ff_t5", FfT5{}, true, true, true, true, "c1",
+      entry("ff_t5", ffT5Notify, true, true, true, true, "c1",
             "FF-T5: notify() where notifyAll() is required (2 items/thread)"),
-      entry("ff_t5_small", FfT5Small{}, true, true, true, true, "c1",
+      entry("ff_t5_small", ffT5Small, true, true, true, true, "c1",
             "FF-T5 variant, 1 item/thread (small exhaustible tree)"),
-      entry("lock_order", LockOrder{}, false, true, true, false, "t1",
+      entry("lock_order", lockOrder, false, true, true, false, "t1",
             "two monitors acquired in opposite orders (deadlock)"),
-      entry("disjoint", Disjoint{}, false, false, false, false, "",
-            "two threads on disjoint shared vars (sleep-set showcase)"),
+      entry("disjoint", disjointCounters, false, false, false, false, "",
+            "two threads on disjoint shared vars (DPOR showcase)"),
       // Fuzzer-found reproducers (see scenarios.hpp for the gen IR and the
       // seeds that produced them).
-      entry("gen_selfwait", GenSelfWait{}, false, true, true, true, "t0",
+      entry("gen_selfwait", genSelfWait, false, true, true, true, "t0",
             "fuzz reproducer: self-wait with no notifier (always deadlocks)"),
-      entry("gen_lost_signal", GenLostSignal{}, false, true, true, true, "t0",
+      entry("gen_lost_signal", genLostSignal, false, true, true, true, "t0",
             "fuzz reproducer: notify can land before the wait (lost signal)"),
-      entry("gen_unguarded_write", GenUnguardedWrite{}, false, true, true,
+      entry("gen_unguarded_write", genUnguardedWrite, false, true, true,
             false, "t0",
             "fuzz reproducer: one writer bypasses the guard (data race)"),
   };

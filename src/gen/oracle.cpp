@@ -26,8 +26,6 @@ const char* reductionName(Reduction r) {
   switch (r) {
     case Reduction::None:
       return "none";
-    case Reduction::Sleep:
-      return "sleep";
     case Reduction::Dpor:
       return "dpor";
   }
@@ -44,7 +42,6 @@ struct Observables {
   std::uint64_t stepLimited = 0;
   std::uint64_t exceptions = 0;
   std::uint64_t prunedBranches = 0;
-  std::uint64_t dedupedStates = 0;
   std::uint64_t dporBacktracks = 0;
   bool exhausted = false;
   std::vector<sched::ThreadId> firstFailure;
@@ -81,9 +78,6 @@ std::string diffObs(const std::string& la, const Observables& a,
   }
   if (a.prunedBranches != b.prunedBranches) {
     return num("prunedBranches", a.prunedBranches, b.prunedBranches);
-  }
-  if (a.dedupedStates != b.dedupedStates) {
-    return num("dedupedStates", a.dedupedStates, b.dedupedStates);
   }
   if (a.dporBacktracks != b.dporBacktracks) {
     return num("dporBacktracks", a.dporBacktracks, b.dporBacktracks);
@@ -147,7 +141,6 @@ ExploreOut explorePr(const Program& p, Reduction red, std::size_t depth,
   out.obs.stepLimited = stats.stepLimited;
   out.obs.exceptions = stats.exceptions;
   out.obs.prunedBranches = stats.prunedBranches;
-  out.obs.dedupedStates = stats.dedupedStates;
   out.obs.dporBacktracks = stats.dporBacktracks;
   out.obs.exhausted = stats.exhausted;
   out.obs.firstFailure = stats.firstFailure;
@@ -227,44 +220,29 @@ OracleOutcome reductionEquivalence(const Program& p, const OracleConfig& oc,
       if (minCanon.empty() || c < minCanon) minCanon = std::move(c);
     }
   }
-  for (Reduction red : {Reduction::Sleep, Reduction::Dpor}) {
-    auto r = explorePr(p, red, unbounded, 1, true, oc.fullMaxRuns, oc.maxSteps,
-                       false, tally);
-    const std::string label = reductionName(red);
-    if (!r.obs.exhausted) {
-      out.ok = false;
-      out.detail = label + " did not exhaust a tree full enumeration did";
-      return out;
-    }
-    if (r.obs.runs > none.obs.runs) {
-      out.ok = false;
-      out.detail = label + " ran more than full enumeration (" +
-                   std::to_string(r.obs.runs) + " > " +
-                   std::to_string(none.obs.runs) + ")";
-      return out;
-    }
-    if (r.obs.deadlockSigs != none.obs.deadlockSigs) {
-      out.ok = false;
-      out.detail = label + ": distinct deadlock states " +
-                   std::to_string(r.obs.deadlockSigs.size()) + " != " +
-                   std::to_string(none.obs.deadlockSigs.size()) +
-                   " (or different states)";
-      return out;
-    }
-    if (r.obs.firstFailure.empty() != none.failures.empty()) {
-      out.ok = false;
-      out.detail = label + ": failure presence mismatch vs full enumeration";
-      return out;
-    }
-    // Only DPOR promises the canonical lex-min witness (Sleep reports the
-    // lex-min *executed* failing schedule, which may be a different
-    // representative of the same trace).
-    if (red == Reduction::Dpor && canon && r.obs.firstFailure != minCanon) {
-      out.ok = false;
-      out.detail = "dpor witness " + scheduleStr(r.obs.firstFailure) +
-                   " != min canonical failure " + scheduleStr(minCanon);
-      return out;
-    }
+  auto dpor = explorePr(p, Reduction::Dpor, unbounded, 1, true,
+                        oc.fullMaxRuns, oc.maxSteps, false, tally);
+  if (!dpor.obs.exhausted) {
+    out.ok = false;
+    out.detail = "dpor did not exhaust a tree full enumeration did";
+  } else if (dpor.obs.runs > none.obs.runs) {
+    out.ok = false;
+    out.detail = "dpor ran more than full enumeration (" +
+                 std::to_string(dpor.obs.runs) + " > " +
+                 std::to_string(none.obs.runs) + ")";
+  } else if (dpor.obs.deadlockSigs != none.obs.deadlockSigs) {
+    out.ok = false;
+    out.detail = "dpor: distinct deadlock states " +
+                 std::to_string(dpor.obs.deadlockSigs.size()) + " != " +
+                 std::to_string(none.obs.deadlockSigs.size()) +
+                 " (or different states)";
+  } else if (dpor.obs.firstFailure.empty() != none.failures.empty()) {
+    out.ok = false;
+    out.detail = "dpor: failure presence mismatch vs full enumeration";
+  } else if (canon && dpor.obs.firstFailure != minCanon) {
+    out.ok = false;
+    out.detail = "dpor witness " + scheduleStr(dpor.obs.firstFailure) +
+                 " != min canonical failure " + scheduleStr(minCanon);
   }
   return out;
 }
@@ -278,8 +256,7 @@ OracleOutcome workerDeterminism(const Program& p, const OracleConfig& oc,
     out.detail = "fewer than two worker counts configured";
     return out;
   }
-  for (Reduction red :
-       {Reduction::None, Reduction::Sleep, Reduction::Dpor}) {
+  for (Reduction red : {Reduction::None, Reduction::Dpor}) {
     auto base = explorePr(p, red, oc.maxBranchDepth, oc.workerCounts[0], true,
                           oc.maxRuns, oc.maxSteps, false, tally);
     if (!base.obs.exhausted) {

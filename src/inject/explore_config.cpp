@@ -114,7 +114,6 @@ obs::ExploreSummary ExploreConfig::Outcome::summary() const {
   s.deadlocks = stats.deadlocks;
   s.stepLimited = stats.stepLimited;
   s.exceptions = stats.exceptions;
-  s.dedupedStates = stats.dedupedStates;
   s.prunedBranches = stats.prunedBranches;
   s.distinctDeadlockStates = distinctDeadlockStates;
   s.exhausted = stats.exhausted;
@@ -200,7 +199,6 @@ ExploreConfig::Outcome ExploreConfig::explore(const RunObserver& onRun) const {
   out.scenario = sc_;
   out.instrumented = metrics_ != nullptr || progress_;
   out.reductionsEnabled =
-      eo.fingerprintPruning ||
       eo.reduction != sched::ExhaustiveExplorer::Reduction::None;
   const auto t0 = std::chrono::steady_clock::now();
   out.stats = explorer.explore(

@@ -4,15 +4,15 @@
 // Lifetime: construct one fresh Injector per run, after the Runtime exists
 // and before any thread runs (ExploreConfig does this through the scenario
 // Instruments::decorate hook).  The constructor attaches itself to the
-// Runtime and registers as a fingerprint source with the scheduler; the
+// Runtime and registers as a snapshot source with the scheduler; the
 // destructor reverses both, and must therefore run before the Runtime dies.
 //
 // Determinism: the only mutable state is the occasion counter and the
 // pending-unbalanced-unlock ledger.  Both are advanced exclusively at
-// schedule-point-adjacent monitor operations, are hashed into the state
-// fingerprint, and every mutation is reported to the scheduler as a write
-// access — so fingerprint pruning and sleep-set reduction stay sound and
-// the same plan deviates the same operation on every replay of a prefix.
+// schedule-point-adjacent monitor operations, are saved in every snapshot,
+// and every mutation is reported to the scheduler as a write access — so
+// DPOR and incremental exploration stay sound and the same plan deviates
+// the same operation on every replay of a prefix.
 #pragma once
 
 #include <cstdint>
@@ -22,13 +22,11 @@
 #include "confail/inject/plan.hpp"
 #include "confail/monitor/injection_hooks.hpp"
 #include "confail/monitor/runtime.hpp"
-#include "confail/sched/fingerprint.hpp"
 #include "confail/sched/snapshot.hpp"
 
 namespace confail::inject {
 
 class Injector final : public monitor::InjectionHooks,
-                       public sched::FingerprintSource,
                        public sched::SnapshotSource {
  public:
   /// Attaches to `rt` (virtual mode only) and registers with its scheduler.
@@ -44,8 +42,6 @@ class Injector final : public monitor::InjectionHooks,
 
   /// Number of occasions actually deviated so far in this run.
   std::uint64_t deviationsApplied() const { return applied_; }
-
-  std::uint64_t stateFingerprint() const override;
 
   /// Snapshot payload size: counters plus the pending-unlock ledger.
   std::size_t snapshotBytes() const override;
@@ -65,7 +61,7 @@ class Injector final : public monitor::InjectionHooks,
 
  private:
   // Snapshot protocol: occasion/applied counters and the pending-unlock
-  // ledger — exactly the state hashed by stateFingerprint().
+  // ledger.
   std::shared_ptr<const void> saveState() const override;
   void restoreState(const std::shared_ptr<const void>& payload) override;
 

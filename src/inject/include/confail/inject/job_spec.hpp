@@ -28,7 +28,7 @@
 
 namespace confail::inject {
 
-/// "none" / "sleep" / "dpor" — the grid axis spelling of the explorer's
+/// "none" / "dpor" — the grid axis spelling of the explorer's
 /// reduction modes (shared by the CLI flags and the job JSON).
 const char* reductionName(sched::ExhaustiveExplorer::Reduction r);
 bool parseReduction(const std::string& name,

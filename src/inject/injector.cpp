@@ -18,13 +18,11 @@ Injector::Injector(monitor::Runtime& rt, const InjectionPlan& plan)
         "Injector: deviation injection requires a virtual-mode Runtime");
   }
   rt_.setInjection(this);
-  rt_.scheduler().addFingerprintSource(this);
   rt_.scheduler().addSnapshotSource(this);
 }
 
 Injector::~Injector() {
   rt_.scheduler().removeSnapshotSource(this);
-  rt_.scheduler().removeFingerprintSource(this);
   rt_.setInjection(nullptr);
 }
 
@@ -56,18 +54,6 @@ std::size_t Injector::snapshotBytes() const {
                                                events::ThreadId>,
                                std::uint32_t>) +
               4 * sizeof(void*));  // rb-tree node overhead estimate
-}
-
-std::uint64_t Injector::stateFingerprint() const {
-  std::uint64_t h = sched::kFpSeed;
-  h = sched::fpMix(h, occasions_);
-  h = sched::fpMix(h, applied_);
-  for (const auto& [key, n] : pendingUnlocks_) {
-    h = sched::fpMix(h, (static_cast<std::uint64_t>(key.first) << 32) ^
-                            static_cast<std::uint64_t>(key.second));
-    h = sched::fpMix(h, n);
-  }
-  return h;
 }
 
 bool Injector::siteMatches(events::MonitorId m) const {

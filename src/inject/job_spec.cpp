@@ -19,7 +19,6 @@ using taxonomy::FailureClass;
 const char* reductionName(ExhaustiveExplorer::Reduction r) {
   switch (r) {
     case ExhaustiveExplorer::Reduction::None: return "none";
-    case ExhaustiveExplorer::Reduction::Sleep: return "sleep";
     case ExhaustiveExplorer::Reduction::Dpor: return "dpor";
   }
   return "?";
@@ -29,8 +28,6 @@ bool parseReduction(const std::string& name,
                     ExhaustiveExplorer::Reduction& out) {
   if (name == "none") {
     out = ExhaustiveExplorer::Reduction::None;
-  } else if (name == "sleep") {
-    out = ExhaustiveExplorer::Reduction::Sleep;
   } else if (name == "dpor") {
     out = ExhaustiveExplorer::Reduction::Dpor;
   } else {
@@ -180,7 +177,7 @@ bool JobSpec::parse(const std::string& json, JobSpec& out,
   }
   if (const obs::JsonValue* v = doc.get("reductions")) {
     if (!v->isArray()) {
-      error = "reductions must be an array of none|sleep|dpor";
+      error = "reductions must be an array of none|dpor";
       return false;
     }
     spec.reductions.clear();
@@ -188,7 +185,7 @@ bool JobSpec::parse(const std::string& json, JobSpec& out,
       ExhaustiveExplorer::Reduction r;
       if (e.kind != obs::JsonValue::Kind::String ||
           !parseReduction(e.string, r)) {
-        error = "unknown reduction '" + e.string + "' (want none|sleep|dpor)";
+        error = "unknown reduction '" + e.string + "' (want none|dpor)";
         return false;
       }
       spec.reductions.push_back(r);

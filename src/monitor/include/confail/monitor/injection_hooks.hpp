@@ -19,8 +19,8 @@
 //     they may not block or yield; they decide and return.
 //   * Any internal state that advances when a hook fires is shared state
 //     for exploration purposes: implementations must register as a
-//     FingerprintSource and note a scheduler access when they mutate
-//     (Injector does both), or fingerprint pruning and sleep sets become
+//     SnapshotSource and note a scheduler access when they mutate
+//     (Injector does both), or incremental exploration and DPOR become
 //     unsound.
 #pragma once
 

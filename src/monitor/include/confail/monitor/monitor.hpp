@@ -56,7 +56,7 @@ enum class SelectPolicy : std::uint8_t {
 
 const char* selectPolicyName(SelectPolicy p);
 
-class Monitor : public sched::FingerprintSource, public sched::SnapshotSource {
+class Monitor : public sched::SnapshotSource {
  public:
   struct Options {
     SelectPolicy grantPolicy = SelectPolicy::Fifo;  ///< entry-queue choice
@@ -70,11 +70,6 @@ class Monitor : public sched::FingerprintSource, public sched::SnapshotSource {
 
   Monitor(const Monitor&) = delete;
   Monitor& operator=(const Monitor&) = delete;
-
-  /// Fingerprint contribution (virtual mode): owner, recursion depth, and
-  /// the exact order of the entry queue and wait set — queue order is
-  /// observable state under Fifo/Lifo policies.
-  std::uint64_t stateFingerprint() const override;
 
   /// Snapshot payload size (virtual mode): the VirtualState copy.
   std::size_t snapshotBytes() const override;

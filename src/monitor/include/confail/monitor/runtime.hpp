@@ -38,7 +38,7 @@ using events::MonitorId;
 using events::ThreadId;
 using events::VarId;
 
-class Runtime : public sched::FingerprintSource, public sched::SnapshotSource {
+class Runtime : public sched::SnapshotSource {
  public:
   enum class Mode { Real, Virtual };
 
@@ -57,11 +57,6 @@ class Runtime : public sched::FingerprintSource, public sched::SnapshotSource {
 
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
-
-  /// Fingerprint contribution (virtual mode): the policy-RNG stream
-  /// position and the id-registration counters.  Two runs in equal states
-  /// must have consumed the same policy draws, or their futures diverge.
-  std::uint64_t stateFingerprint() const override;
 
   /// Snapshot payload size (virtual mode): RNG + counters + method stacks.
   std::size_t snapshotBytes() const override;

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <type_traits>
@@ -27,7 +26,7 @@
 namespace confail::monitor {
 
 template <typename T>
-class SharedVar : public sched::FingerprintSource, public sched::SnapshotSource {
+class SharedVar : public sched::SnapshotSource {
   // Snapshot support requires a copyable value; a SharedVar over a
   // move-only T poisons the scheduler's snapshot safety instead, forcing
   // the explorer onto the prefix-replay path for that program.
@@ -38,7 +37,6 @@ class SharedVar : public sched::FingerprintSource, public sched::SnapshotSource 
   SharedVar(Runtime& rt, const std::string& name, T init)
       : rt_(rt), id_(rt.registerVar(name)), value_(std::move(init)) {
     if (rt_.isVirtual()) {
-      rt_.scheduler().addFingerprintSource(this);
       if constexpr (kSnapshottable) {
         rt_.scheduler().addSnapshotSource(this);
       } else {
@@ -48,29 +46,13 @@ class SharedVar : public sched::FingerprintSource, public sched::SnapshotSource 
   }
 
   ~SharedVar() override {
-    if (rt_.isVirtual()) {
-      if constexpr (kSnapshottable) rt_.scheduler().removeSnapshotSource(this);
-      rt_.scheduler().removeFingerprintSource(this);
+    if constexpr (kSnapshottable) {
+      if (rt_.isVirtual()) rt_.scheduler().removeSnapshotSource(this);
     }
   }
 
   SharedVar(const SharedVar&) = delete;
   SharedVar& operator=(const SharedVar&) = delete;
-
-  /// Fingerprint contribution: the variable's current value when T is
-  /// std::hash-able, otherwise a running hash of the write history.  The
-  /// value itself must participate — a write count alone would equate
-  /// states that diverge on the next read.
-  std::uint64_t stateFingerprint() const override {
-    std::lock_guard<std::mutex> g(mu_);
-    std::uint64_t h = sched::fpMix(sched::kFpSeed, sched::fpTag('v', id_));
-    if constexpr (requires(const T& t) { std::hash<T>{}(t); }) {
-      h = sched::fpMix(h, std::hash<T>{}(value_));
-    } else {
-      h = sched::fpMix(h, historyHash_);
-    }
-    return h;
-  }
 
   /// Instrumented read (emits a Read event; schedule point before access).
   T get() {
@@ -87,12 +69,6 @@ class SharedVar : public sched::FingerprintSource, public sched::SnapshotSource 
     std::lock_guard<std::mutex> g(mu_);
     snapshotBump();
     value_ = std::move(v);
-    if constexpr (requires(const T& t) { std::hash<T>{}(t); }) {
-      // stateFingerprint() hashes the value directly.
-    } else {
-      ThreadId writer = rt_.currentThread();
-      historyHash_ = sched::fpMix(historyHash_, writer);
-    }
   }
 
   /// Uninstrumented peek for assertions in tests and invariant checks;
@@ -104,19 +80,14 @@ class SharedVar : public sched::FingerprintSource, public sched::SnapshotSource 
 
   VarId id() const { return id_; }
 
-  /// Snapshot payload size: the value plus the history hash.
-  std::size_t snapshotBytes() const override { return sizeof(Snap); }
+  /// Snapshot payload size: the value.
+  std::size_t snapshotBytes() const override { return sizeof(T); }
 
  private:
-  struct Snap {
-    T value;
-    std::uint64_t historyHash;
-  };
-
   std::shared_ptr<const void> saveState() const override {
     if constexpr (kSnapshottable) {
       std::lock_guard<std::mutex> g(mu_);
-      return std::make_shared<Snap>(Snap{value_, historyHash_});
+      return std::make_shared<T>(value_);
     } else {
       return nullptr;  // unreachable: non-copyable vars never register
     }
@@ -124,10 +95,8 @@ class SharedVar : public sched::FingerprintSource, public sched::SnapshotSource 
 
   void restoreState(const std::shared_ptr<const void>& payload) override {
     if constexpr (kSnapshottable) {
-      const Snap& s = *static_cast<const Snap*>(payload.get());
       std::lock_guard<std::mutex> g(mu_);
-      value_ = s.value;
-      historyHash_ = s.historyHash;
+      value_ = *static_cast<const T*>(payload.get());
     }
   }
 
@@ -135,7 +104,6 @@ class SharedVar : public sched::FingerprintSource, public sched::SnapshotSource 
   VarId id_;
   mutable std::mutex mu_;
   T value_;
-  std::uint64_t historyHash_ = sched::kFpSeed;  // non-hashable T fallback
 };
 
 }  // namespace confail::monitor

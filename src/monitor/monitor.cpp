@@ -69,7 +69,6 @@ Monitor::Monitor(Runtime& rt, std::string name, Options opts)
     : rt_(rt), name_(std::move(name)), id_(rt.registerMonitor(name_)), opts_(opts) {
   if (rt_.isVirtual()) {
     v_ = std::make_unique<VirtualState>();
-    rt_.scheduler().addFingerprintSource(this);
     rt_.scheduler().addSnapshotSource(this);
   } else {
     r_ = std::make_unique<RealState>();
@@ -84,7 +83,6 @@ Monitor::Monitor(Runtime& rt, std::string name, Options opts)
 Monitor::~Monitor() {
   if (v_) {
     rt_.scheduler().removeSnapshotSource(this);
-    rt_.scheduler().removeFingerprintSource(this);
   }
 }
 
@@ -101,23 +99,6 @@ std::size_t Monitor::snapshotBytes() const {
   return sizeof(VirtualState) +
          v_->entry.capacity() * sizeof(VirtualState::Entry) +
          v_->waiters.capacity() * sizeof(VirtualState::Waiter);
-}
-
-std::uint64_t Monitor::stateFingerprint() const {
-  if (!v_) return 0;
-  const VirtualState& v = *v_;
-  std::uint64_t h = sched::fpMix(sched::kFpSeed, sched::fpTag('m', id_));
-  h = sched::fpMix(h, (static_cast<std::uint64_t>(v.owner) << 32) ^ v.depth);
-  for (const VirtualState::Entry& e : v.entry) {
-    h = sched::fpMix(h, (static_cast<std::uint64_t>(e.tid) << 32) ^
-                            e.restoreDepth);
-  }
-  h = sched::fpMix(h, 0x9e3779b97f4a7c15ull);  // entry / wait-set separator
-  for (const VirtualState::Waiter& w : v.waiters) {
-    h = sched::fpMix(h, (static_cast<std::uint64_t>(w.tid) << 32) ^
-                            w.savedDepth);
-  }
-  return h;
 }
 
 void Monitor::lock() {

@@ -32,7 +32,6 @@ Runtime::Runtime(events::Trace& trace, sched::VirtualScheduler& sched,
                  std::uint64_t seed, obs::Registry* metrics)
     : mode_(Mode::Virtual), trace_(trace), sched_(&sched), metrics_(metrics),
       rng_(seed) {
-  sched_->addFingerprintSource(this);
   sched_->addSnapshotSource(this);
 }
 
@@ -43,7 +42,6 @@ Runtime::Runtime(events::Trace& trace, std::uint64_t seed,
 Runtime::~Runtime() {
   if (sched_ != nullptr) {
     sched_->removeSnapshotSource(this);
-    sched_->removeFingerprintSource(this);
   }
   joinAll();
 }
@@ -73,15 +71,6 @@ std::size_t Runtime::snapshotBytes() const {
     n += s.capacity() * sizeof(MethodId);
   }
   return n;
-}
-
-std::uint64_t Runtime::stateFingerprint() const {
-  std::uint64_t h = sched::fpMix(sched::kFpSeed, rng_.stateHash());
-  h = sched::fpMix(h, (static_cast<std::uint64_t>(nextMonitorId_) << 32) ^
-                          nextVarId_);
-  h = sched::fpMix(h, (static_cast<std::uint64_t>(nextMethodId_) << 32) ^
-                          nextThreadId_);
-  return h;
 }
 
 void Runtime::noteFootprint(EventKind kind, MonitorId monitorId,

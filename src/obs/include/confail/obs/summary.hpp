@@ -25,12 +25,11 @@ struct ExploreSummary {
   std::uint64_t deadlocks = 0;
   std::uint64_t stepLimited = 0;
   std::uint64_t exceptions = 0;
-  std::uint64_t dedupedStates = 0;
   std::uint64_t prunedBranches = 0;
   std::uint64_t distinctDeadlockStates = 0;
   bool exhausted = false;
   bool stoppedByCallback = false;
-  /// Whether any reduction (pruning / sleep sets) was enabled — controls
+  /// Whether a reduction (DPOR) was enabled — controls
   /// whether the reductions line appears in the human rendering.
   bool reductionsEnabled = false;
   std::vector<std::uint32_t> firstFailure;

@@ -46,8 +46,7 @@ std::string ExploreSummary::human() const {
             static_cast<unsigned long long>(exceptions));
   }
   if (reductionsEnabled) {
-    appendf(out, "reductions:     %llu states deduped, %llu branches pruned\n",
-            static_cast<unsigned long long>(dedupedStates),
+    appendf(out, "reductions:     %llu branches pruned\n",
             static_cast<unsigned long long>(prunedBranches));
   }
   if (elapsedMs > 0.0) {
@@ -78,7 +77,6 @@ void ExploreSummary::writeJson(JsonWriter& w) const {
   w.field("distinct_deadlock_states", distinctDeadlockStates);
   w.field("step_limited", stepLimited);
   w.field("exceptions", exceptions);
-  w.field("deduped_states", dedupedStates);
   w.field("pruned_branches", prunedBranches);
   w.field("exhausted", exhausted);
   w.field("stopped_by_callback", stoppedByCallback);

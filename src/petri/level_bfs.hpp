@@ -17,11 +17,11 @@
 //   state numbering, edges, parent links and dead-marking lists are
 //   byte-identical from 1 worker to 64.
 //
-// The explorer's sharded VisitedSet (sched/visited_set.hpp) was the other
-// candidate for the visited structure, but its insert attribution is racy
-// ("new" can be reported twice under contention) which is fine for dedup
-// and fatal for deterministic numbering; the frozen-table probe gets the
-// same lock-free read path without the race (docs/petri.md).
+// A lock-free striped set with CAS inserts was the other candidate for the
+// visited structure, but its insert attribution is racy ("new" can be
+// reported twice under contention), which is fine for dedup and fatal for
+// deterministic numbering; the frozen-table probe gets the same lock-free
+// read path without the race (docs/petri.md).
 //
 // Because the packed key is the whole marking (packed_marking.hpp), a
 // frontier record is (transition, key, probe result) — a few machine words

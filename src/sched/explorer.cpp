@@ -20,22 +20,6 @@ namespace confail::sched {
 
 namespace {
 
-/// An unexecuted schedule prefix (a node of the shared prefix tree), plus an
-/// optional one-shot sleep entry.
-///
-/// The sleep entry records the step that the parent run took at this item's
-/// branch point (the spine choice) together with that step's footprint.  If
-/// the child's own first step turns out to be independent of it, the child
-/// must NOT branch back to the spine thread at its first decision point:
-/// that sibling is the pure transposition of two commuting steps and leads
-/// to a state explored from the parent's subtree.  The entry applies only
-/// at depth == node->depth and is never inherited further down.
-struct WorkItem {
-  const PrefixNode* node = nullptr;
-  ThreadId sleepThread = events::kNoThread;
-  Footprint sleepFp;
-};
-
 /// Per-worker tallies, merged once at the end so that hot-loop counting is
 /// uncontended and the merged totals are order-independent.
 struct LocalStats {
@@ -45,9 +29,7 @@ struct LocalStats {
   std::uint64_t stepLimited = 0;
   std::uint64_t exceptions = 0;
   std::uint64_t prunedBranches = 0;
-  std::uint64_t dedupedStates = 0;
   std::uint64_t dporBacktracks = 0;
-  std::uint64_t fpLookups = 0;  ///< visited-set probes (dedup-rate denominator)
   std::uint64_t busyNs = 0;     ///< time spent executing runs (metrics only)
   std::uint64_t incrementalFallbacks = 0;  ///< runs bounced back to replay
   bool hasFailure = false;
@@ -157,12 +139,9 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
     workers = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
 
+  // Only DPOR needs per-step footprints (race analysis, the sleep-set wake
+  // rule, witness canonicalization); full enumeration captures nothing.
   const bool dporMode = opts_.reduction == Reduction::Dpor;
-  const bool sleepMode = opts_.reduction == Reduction::Sleep;
-  // DPOR ignores the fingerprint dedup table (a state's backtrack set
-  // depends on the races along the path that reached it).
-  const bool fpPruning = opts_.fingerprintPruning && !dporMode;
-  const bool captureState = fpPruning || opts_.reduction != Reduction::None;
   // Incremental exploration needs stack snapshots; without them every
   // worker silently uses plain prefix replay.
   const bool incrementalMode = opts_.incremental && fibersSupported();
@@ -171,9 +150,10 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
   // mutation: every run from then on takes the replay path.
   std::atomic<bool> snapshotUnsafe{false};
 
-  WorkStealQueue<WorkItem> queue(workers);
+  // Work items are unexecuted schedule prefixes: nodes of the shared prefix
+  // tree.
+  WorkStealQueue<const PrefixNode*> queue(workers);
   PrefixArena arena(workers);
-  VisitedSet visited;
   std::atomic<std::uint64_t> runsClaimed{0};
   std::atomic<bool> budgetExhausted{false};
   std::atomic<bool> stoppedByCallback{false};
@@ -182,7 +162,6 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
   std::mutex mergeMu;     // guards the merged Stats
   Stats stats;
   bool mergedHasFailure = false;
-  std::uint64_t fpLookupsTotal = 0;
   // Incremental-session tallies (merged under mergeMu like everything else).
   std::uint64_t snapStores = 0;
   std::uint64_t snapEvictions = 0;
@@ -234,13 +213,14 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
     // guarantees every claim an analysis makes settles before any child of
     // that analysis can contend for it, which restores the ordering the
     // serial explorer gets for free.
-    std::vector<WorkItem> childBuf;
+    std::vector<const PrefixNode*> childBuf;
     // (DPOR) sleepAt[j - prefixLen] is the sleep set at decision point j of
     // the current run, re-evolved from the work item's node so backtrack
     // candidates can be tested against the state they would branch in.
     std::vector<std::vector<SleepEntry>> sleepAt;
     const Clock::time_point workerStart = Clock::now();
-    while (std::optional<WorkItem> item = queue.next(self)) {
+    while (std::optional<const PrefixNode*> item = queue.next(self)) {
+      const PrefixNode* const node = *item;
       // Claim a slot in the run budget before executing.  fetch_add makes
       // the claim exact under contention: at most maxRuns runs execute.
       const std::uint64_t claimed = runsClaimed.fetch_add(1);
@@ -265,13 +245,8 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
         opts_.onProgress(p);
       }
 
-      // With sleep sets, keep the displaced spine thread out of the child's
-      // own first free pick: the transposed schedule then appears as a
-      // sibling branch, where the independence check can prune it.
-      const std::size_t prefixLen = item->node->depth;
-      materializePrefix(item->node, prefixBuf);
-      const ThreadId avoid =
-          sleepMode ? item->sleepThread : events::kNoThread;
+      const std::size_t prefixLen = node->depth;
+      materializePrefix(node, prefixBuf);
       Clock::time_point runStart;
       if (metrics != nullptr) runStart = Clock::now();
       RunResult result;
@@ -281,14 +256,14 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
         if (incRunner == nullptr) {
           IncrementalRunner::Config rcfg;
           rcfg.maxSteps = opts_.maxSteps;
-          rcfg.captureState = captureState;
+          rcfg.captureState = dporMode;
           rcfg.budgetBytes = opts_.snapshotBudgetBytes;
           rcfg.metrics = metrics;
           incRunner = std::make_unique<IncrementalRunner>(program, rcfg);
         }
         if (incRunner->usable()) {
           std::optional<RunResult> r = incRunner->run(
-              item->node, prefixBuf, avoid, opts_.maxBranchDepth, dporMode);
+              node, prefixBuf, opts_.maxBranchDepth, dporMode);
           if (r.has_value()) {
             result = std::move(*r);
             ranIncremental = true;
@@ -302,17 +277,16 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
         }
       }
       if (!ranIncremental) {
-        PrefixReplayStrategy strategy(prefixBuf.data(), prefixBuf.size(),
-                                      avoid);
+        PrefixReplayStrategy strategy(prefixBuf.data(), prefixBuf.size());
         VirtualScheduler::Options schedOpts;
         schedOpts.maxSteps = opts_.maxSteps;
-        schedOpts.captureState = captureState;
+        schedOpts.captureState = dporMode;
         schedOpts.metrics = metrics;
         if (dporMode) {
           // The node's stored sleep set is valid just before its last
           // replayed step; the scheduler replays the wake rule from there
           // and keeps sleeping threads out of every free pick.
-          schedOpts.sleepSet = item->node->sleep;
+          schedOpts.sleepSet = node->sleep;
           schedOpts.sleepProcessFrom = prefixLen > 0 ? prefixLen - 1 : 0;
           schedOpts.sleepFilterFrom = prefixLen;
           schedOpts.sleepFilterTo = opts_.maxBranchDepth;
@@ -382,9 +356,9 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
         std::size_t analysisLen = 0;
         if (dporMode) {
           if (result.schedule.size() > prefixLen) {
-            item->node->tryClaim(result.schedule[prefixLen]);
+            node->tryClaim(result.schedule[prefixLen]);
           }
-          materializeChain(item->node, chainBuf);
+          materializeChain(node, chainBuf);
           analysisLen =
               std::min({result.schedule.size(), result.stepFootprints.size(),
                         result.choiceSets.size(), kDporAnalysisWindow});
@@ -395,7 +369,7 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
             dst.clear();
             if (j == 0) continue;  // the root's sleep set is empty
             const std::vector<SleepEntry>& prev =
-                j == prefixLen ? item->node->sleep
+                j == prefixLen ? node->sleep
                                : sleepAt[j - prefixLen - 1];
             const Footprint& fp = result.stepFootprints[j - 1];
             const ThreadId ran = result.schedule[j - 1];
@@ -417,7 +391,7 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
         // backtracking elsewhere cannot re-enqueue this very run, and
         // records the sleep set valid before its last step.
         spineBuf.clear();
-        spineBuf.push_back(item->node);
+        spineBuf.push_back(node);
         auto spineAt = [&](std::size_t d) -> const PrefixNode* {
           while (prefixLen + spineBuf.size() <= d) {
             const std::size_t at = prefixLen + spineBuf.size() - 1;
@@ -509,9 +483,7 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
                 ch->sleep = asleep;
                 ch->sleep.push_back(
                     SleepEntry{result.schedule[j], result.stepFootprints[j]});
-                WorkItem child;
-                child.node = ch;
-                childBuf.push_back(std::move(child));
+                childBuf.push_back(ch);
                 ++local.dporBacktracks;
               };
               if (std::find(enabled.begin(), enabled.end(), p) !=
@@ -530,42 +502,10 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
           for (std::size_t i = branchLimit; i-- > prefixLen;) {
             const std::vector<ThreadId>& choices = result.choiceSets[i];
             if (choices.size() <= 1) continue;
-
-            if (fpPruning) {
-              // Key on (depth, fingerprint): the insert is exactly-once
-              // across all workers, so whichever run reaches the state first
-              // expands it and every other run skips it — the total branch
-              // count is the same regardless of who wins.
-              ++local.fpLookups;
-              const std::uint64_t key =
-                  fpMix(fpMix(kFpSeed, i), result.fingerprints[i]);
-              if (!visited.insert(key)) {
-                ++local.dedupedStates;
-                local.prunedBranches += choices.size() - 1;
-                continue;
-              }
-            }
-
             const PrefixNode* at = spineAt(i);
             for (ThreadId alt : choices) {
               if (alt == result.schedule[i]) continue;
-              if (sleepMode && i == prefixLen && prefixLen > 0 &&
-                  alt == item->sleepThread &&
-                  result.stepFootprints[prefixLen - 1].independentWith(
-                      item->sleepFp)) {
-                // First step of this child is independent of the spine step
-                // it displaced; swapping them back reaches a state already
-                // covered by the parent's subtree.
-                ++local.prunedBranches;
-                continue;
-              }
-              WorkItem child;
-              child.node = arena.child(self, at, alt);
-              if (sleepMode) {
-                child.sleepThread = result.schedule[i];
-                child.sleepFp = result.stepFootprints[i];
-              }
-              childBuf.push_back(std::move(child));
+              childBuf.push_back(arena.child(self, at, alt));
             }
           }
         }
@@ -592,9 +532,7 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
     stats.stepLimited += local.stepLimited;
     stats.exceptions += local.exceptions;
     stats.prunedBranches += local.prunedBranches;
-    stats.dedupedStates += local.dedupedStates;
     stats.dporBacktracks += local.dporBacktracks;
-    fpLookupsTotal += local.fpLookups;
     incrementalFallbacksTotal += local.incrementalFallbacks;
     if (incRunner != nullptr) {
       const IncrementalRunner::Tally& t = incRunner->tally();
@@ -614,9 +552,7 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
     }
   };
 
-  WorkItem root;
-  root.node = arena.root();
-  queue.push(0, std::move(root));  // the root: the empty prefix
+  queue.push(0, arena.root());  // the root: the empty prefix
 
   std::vector<std::thread> extra;
   extra.reserve(workers - 1);
@@ -637,7 +573,6 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
     metrics->counter("explorer.step_limited").add(stats.stepLimited);
     metrics->counter("explorer.exceptions").add(stats.exceptions);
     metrics->counter("explorer.pruned_branches").add(stats.prunedBranches);
-    metrics->counter("explorer.deduped_states").add(stats.dedupedStates);
     metrics->counter("explorer.dpor_backtracks").add(stats.dporBacktracks);
     metrics->counter("explorer.steals").add(queue.steals());
     metrics->counter("explorer.steal_batch").add(queue.stealBatches());
@@ -646,22 +581,10 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
     metrics->gauge("explorer.runs_per_sec")
         .set(elapsedSec > 0.0 ? static_cast<double>(stats.runs) / elapsedSec
                               : 0.0);
-    // Fraction of fingerprint probes that hit an already-expanded state.
-    // 0 when pruning is off (no probes).
-    metrics->gauge("explorer.dedup_hit_rate")
-        .set(fpLookupsTotal > 0
-                 ? static_cast<double>(stats.dedupedStates) /
-                       static_cast<double>(fpLookupsTotal)
-                 : 0.0);
     metrics->gauge("explorer.queue_depth")
         .set(static_cast<double>(queue.queuedApprox()));
     metrics->gauge("explorer.prefix_arena_bytes")
         .set(static_cast<double>(arena.bytes()));
-    metrics->gauge("explorer.visited_load_factor").set(visited.loadFactor());
-    // Companion to the aggregate: the fullest stripe's occupancy, exposing
-    // shard imbalance the mean load factor averages away.
-    metrics->gauge("explorer.visited_load_factor_peak_shard")
-        .set(visited.maxShardLoadFactor());
     metrics->counter("explorer.snapshot_restores").add(stats.snapshotRestores);
     metrics->counter("explorer.snapshot_stores").add(snapStores);
     metrics->counter("explorer.snapshot_evictions").add(snapEvictions);

@@ -14,15 +14,10 @@
 // parent-pointer tree bump-allocated per worker (see prefix_tree.hpp), so
 // enqueueing a child is O(1) instead of an O(depth) vector copy.
 //
-// Optional reductions cut the tree:
+// Two reduction levels:
 //
-//   * fingerprintPruning — hash the full execution state (thread statuses,
-//     lock owners, wait sets, shared-variable contents, policy-RNG stream)
-//     at every decision point and branch from a (depth, fingerprint) pair
-//     at most once, JPF-style;
-//   * Reduction::Sleep — skip the transposed sibling of two adjacent
-//     independent steps (their footprints touch disjoint state), a one-shot
-//     sleep-set reduction;
+//   * Reduction::None — branch on every untried sibling: the exact bounded
+//     tree, the reference every reduction is checked against;
 //   * Reduction::Dpor — footprint-driven dynamic partial-order reduction
 //     (source-set backtracking, Flanagan–Godefroid lineage): instead of
 //     enqueueing every untried sibling at every branch point, each executed
@@ -35,7 +30,7 @@
 //     their trace so `firstFailure` matches the one Reduction::None finds.
 //
 // See docs/exploration.md for the design, the determinism guarantees, and
-// the soundness argument for the reductions.
+// when to prefer None over Dpor.
 //
 // This is the mechanism that turns the paper's failure classes from
 // "things that may happen under some JVM scheduler" into properties that
@@ -66,12 +61,10 @@ std::vector<ThreadId> canonicalTraceWitness(const RunResult& result);
 
 class ExhaustiveExplorer {
  public:
-  /// Schedule-tree reduction level (orthogonal to fingerprintPruning,
-  /// except that Dpor ignores the fingerprint dedup table — see below).
+  /// Schedule-tree reduction level.
   enum class Reduction : std::uint8_t {
-    None,   ///< branch on every untried sibling (full enumeration)
-    Sleep,  ///< one-shot sleep-set skip of transposed independent steps
-    Dpor,   ///< source-set dynamic partial-order reduction
+    None,  ///< branch on every untried sibling (full enumeration)
+    Dpor,  ///< source-set dynamic partial-order reduction
   };
 
   /// Periodic heartbeat snapshot passed to Options::onProgress.
@@ -95,18 +88,10 @@ class ExhaustiveExplorer {
     /// legacy serial DFS.  0 means std::thread::hardware_concurrency().
     std::size_t workers = 1;
 
-    /// Branch from each (depth, state-fingerprint) pair at most once.
-    /// Cuts re-exploration of converged interleavings; Stats counters stay
-    /// deterministic across worker counts (see docs/exploration.md).
-    /// Ignored under Reduction::Dpor: a state's backtrack set depends on
-    /// the races seen along the path that reached it, so deduping by state
-    /// alone could skip a reversal DPOR still needs.
-    bool fingerprintPruning = false;
-
-    /// Which schedule-tree reduction to apply (see Reduction).  Sleep with
-    /// workers == 1 stays byte-identical to the historical sleep-set
-    /// explorer output; Dpor preserves the failure set and the
-    /// lexicographic-min witness but explores far fewer runs.
+    /// Which schedule-tree reduction to apply (see Reduction).  Dpor
+    /// preserves the failure set and the lexicographic-min witness of None
+    /// on unbounded trees but explores far fewer runs; at tight branch
+    /// bounds only None is exact (see docs/exploration.md).
     Reduction reduction = Reduction::None;
 
     /// Incremental exploration: each worker keeps one long-lived
@@ -129,11 +114,11 @@ class ExhaustiveExplorer {
 
     /// Optional metrics sink.  When set, explore() publishes throughput
     /// (explorer.runs_per_sec), reduction effectiveness
-    /// (explorer.dedup_hit_rate, explorer.dpor_backtracks), work-stealing
+    /// (explorer.dpor_backtracks, explorer.pruned_branches), work-stealing
     /// traffic (explorer.steals), per-run schedule lengths
     /// (explorer.run_steps histogram), per-worker run counts and
-    /// utilization, memory pressure (explorer.prefix_arena_bytes,
-    /// explorer.visited_load_factor) and the outcome counters.  Recording
+    /// utilization, memory pressure (explorer.prefix_arena_bytes) and the
+    /// outcome counters.  Recording
     /// is batched per worker and written once at merge time, so the hot
     /// loop is untouched; the registry must outlive explore().
     obs::Registry* metrics = nullptr;
@@ -170,10 +155,9 @@ class ExhaustiveExplorer {
     std::uint64_t deadlocks = 0;
     std::uint64_t stepLimited = 0;
     std::uint64_t exceptions = 0;
-    /// Child prefixes skipped by fingerprint pruning or sleep sets.
+    /// Reduction::Dpor only: sleep-pruned runs plus race reversals
+    /// skipped because the reversing thread was asleep.
     std::uint64_t prunedBranches = 0;
-    /// Decision points whose (depth, fingerprint) had already been expanded.
-    std::uint64_t dedupedStates = 0;
     /// Reduction::Dpor only: schedule reversals enqueued by the race
     /// analysis (the entire frontier past the root run, since DPOR queues
     /// work exclusively through backtracking).
@@ -191,8 +175,8 @@ class ExhaustiveExplorer {
     /// PrefixReplayStrategy to reproduce the failure deterministically.
     /// The lexicographic-minimum rule makes the witness independent of
     /// traversal order, so it is identical across worker counts whenever
-    /// the same set of runs executes (always true on an exhausted tree
-    /// with reductions off), and is reported even when the run budget is
+    /// the same set of runs executes (always true on an exhausted tree),
+    /// and is reported even when the run budget is
     /// exhausted mid-tree.  Under Reduction::Dpor each failing schedule is
     /// first canonicalized to the lexicographically smallest linearization
     /// of its Mazurkiewicz trace, so the witness matches the one

@@ -1,61 +1,28 @@
-// State fingerprinting and step footprints for schedule-tree pruning.
+// Step footprints and the hashing helpers behind them.
 //
-// The exhaustive explorer re-executes the program once per schedule prefix;
-// without reduction, every permutation of independent steps is paid for in
-// full.  Two classic model-checking ideas (JPF-style state hashing, sleep
-// sets) are grafted onto the stateless design:
-//
-//   * A *fingerprint* is a 64-bit hash of the complete scheduler-visible
-//     state at a decision point: every logical thread's status and block
-//     reason, plus the state of each registered FingerprintSource (monitors
-//     hash owner/depth/entry-queue/wait-set; shared variables hash their
-//     value; the Runtime hashes its policy-RNG state).  Two runs whose
-//     fingerprints agree at the same decision depth are in the same state
-//     and share one future: branching is done once.
-//
-//   * A *footprint* summarizes what one scheduler step (the segment between
-//     two decision points) touched, as read/write Bloom masks over monitor,
-//     variable and blocking-resource tags.  Two adjacent steps of different
-//     threads with non-conflicting footprints commute — executing them in
-//     either order reaches the same state — which lets the explorer skip
-//     queueing one of the two transposed orders (a sleep-set-style check).
+// A *footprint* summarizes what one scheduler step (the segment between two
+// decision points) touched, as read/write Bloom masks over monitor,
+// variable and blocking-resource tags.  Two steps of different threads
+// with non-conflicting footprints commute — executing them in either order
+// reaches the same state — which is the independence relation source-set
+// DPOR (ExhaustiveExplorer's Reduction::Dpor) and its sleep sets are built
+// on.  fpMix/fpTag are also the hashing primitives for deadlock signatures.
 //
 // Soundness assumptions are documented in docs/exploration.md: components
 // must route all cross-thread interaction through instrumented state
-// (monitors, SharedVar, scheduler blocking), and 64-bit hashing carries the
-// usual negligible-but-nonzero collision risk accepted by hash-compaction
-// model checkers.
+// (monitors, SharedVar, scheduler blocking).
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <vector>
 
 #include "confail/events/event.hpp"
-#include "confail/sched/visited_set.hpp"
 
 namespace confail::sched {
 
-/// Anything that contributes state to a VirtualScheduler fingerprint.
-/// Instances register via VirtualScheduler::addFingerprintSource (monitors,
-/// shared variables and the Runtime do this automatically in virtual mode)
-/// and must unregister before destruction.
-class FingerprintSource {
- public:
-  virtual ~FingerprintSource() = default;
-  /// A hash of this object's current logical state.  Must be a pure
-  /// function of state: two objects in equal states (possibly in different
-  /// runs of the same program) must return equal values.
-  virtual std::uint64_t stateFingerprint() const = 0;
-};
-
-/// FNV-1a offset basis; the seed of every fingerprint chain.
+/// FNV-1a offset basis; the seed of every fpMix chain.
 inline constexpr std::uint64_t kFpSeed = 0xcbf29ce484222325ull;
 
-/// Mix one 64-bit quantity into a running fingerprint (FNV-1a over the
+/// Mix one 64-bit quantity into a running hash (FNV-1a over the
 /// value's bytes, unrolled to one multiply per word plus avalanche).
 inline std::uint64_t fpMix(std::uint64_t h, std::uint64_t v) noexcept {
   h ^= v;

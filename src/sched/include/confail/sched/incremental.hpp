@@ -10,7 +10,7 @@
 //
 // A checkpoint is a VirtualScheduler::Snapshot — every fiber's frozen stack
 // and register file plus every registered SnapshotSource's payload — glued
-// to the path data (schedule / choice sets / fingerprints / footprints) of
+// to the path data (schedule / choice sets / footprints) of
 // the prefix it stands for, so a restored run's RunResult is
 // indistinguishable from a from-scratch execution of the same schedule.
 // Snapshots are copy-on-write: stacks and payloads carry version stamps
@@ -21,7 +21,7 @@
 // Equivalence by construction: the session drives the SAME runLoop as
 // VirtualScheduler::run() with the SAME PrefixReplayStrategy (global step
 // indices make the restored steps simply never consulted), so schedules,
-// choice sets, fingerprints, footprints and outcomes are bit-identical to
+// choice sets, footprints and outcomes are bit-identical to
 // the replay path.  If anything breaks the session's assumptions — the
 // program is not declared snapshot-safe, a restore detects mid-run
 // (un)registration, the build has no stack snapshots (fibersSupported()
@@ -126,7 +126,6 @@ class IncrementalRunner {
   /// cannot continue incrementally; the caller falls back to replay.
   std::optional<RunResult> run(const PrefixNode* node,
                                const std::vector<ThreadId>& prefix,
-                               ThreadId avoidAtFirstFree,
                                std::size_t branchDepthLimit, bool dporMode);
 
   /// Attach the pending checkpoint taken at `spineNode->depth` during the
@@ -144,7 +143,6 @@ class IncrementalRunner {
     std::shared_ptr<const VirtualScheduler::Snapshot> snap;
     std::vector<ThreadId> schedule;
     std::vector<std::vector<ThreadId>> choiceSets;
-    std::vector<std::uint64_t> fingerprints;
     std::vector<Footprint> stepFootprints;
     std::size_t costBytes = 0;  ///< budget charge (fresh + path estimate)
   };

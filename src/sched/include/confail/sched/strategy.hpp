@@ -77,27 +77,14 @@ class PrefixReplayStrategy final : public Strategy {
   explicit PrefixReplayStrategy(std::vector<ThreadId> prefix)
       : own_(std::move(prefix)), data_(own_.data()), len_(own_.size()) {}
 
-  /// `avoidAtFirstFree`: at the first decision point past the prefix,
-  /// prefer the lowest-id runnable thread OTHER than this one (fall back
-  /// to it only if it is the sole runnable thread).  The explorer's
-  /// sleep-set reduction uses this to keep the displaced spine thread out
-  /// of the child's own spine, so the transposed schedule shows up as a
-  /// prunable sibling instead.
-  PrefixReplayStrategy(std::vector<ThreadId> prefix, ThreadId avoidAtFirstFree)
-      : own_(std::move(prefix)),
-        data_(own_.data()),
-        len_(own_.size()),
-        avoid_(avoidAtFirstFree) {}
-
   /// Zero-copy form: replay `prefix[0..len)` without owning it.  The
   /// explorer materializes each work item's prefix-tree chain into a
   /// per-worker scratch buffer once and lends it out here; the caller
   /// keeps the buffer alive and unchanged for the strategy's lifetime.
-  PrefixReplayStrategy(const ThreadId* prefix, std::size_t len,
-                       ThreadId avoidAtFirstFree = events::kNoThread)
-      : data_(prefix), len_(len), avoid_(avoidAtFirstFree) {}
+  PrefixReplayStrategy(const ThreadId* prefix, std::size_t len)
+      : data_(prefix), len_(len) {}
 
-  // data_ points into own_ in the owning constructors; copying would leave
+  // data_ points into own_ in the owning constructor; copying would leave
   // the copy aliasing the original's storage.
   PrefixReplayStrategy(const PrefixReplayStrategy&) = delete;
   PrefixReplayStrategy& operator=(const PrefixReplayStrategy&) = delete;
@@ -108,7 +95,6 @@ class PrefixReplayStrategy final : public Strategy {
   std::vector<ThreadId> own_;          ///< storage for the owning form
   const ThreadId* data_ = nullptr;     ///< the prefix actually replayed
   std::size_t len_ = 0;
-  ThreadId avoid_ = events::kNoThread;
 };
 
 }  // namespace confail::sched

@@ -95,14 +95,9 @@ struct RunResult {
   std::vector<BlockedThreadInfo> blocked;
   /// Populated when outcome == Exception.
   std::string errorMessage;
-  /// With Options::captureState: the state fingerprint at each decision
-  /// point, aligned with `schedule` (fingerprints[i] hashes the state in
-  /// which schedule[i] was chosen).  The explorer's dedup table keys on
-  /// (depth, fingerprint) pairs from here.
-  std::vector<std::uint64_t> fingerprints;
   /// With Options::captureState: what each step touched (the segment from
   /// decision point i to i+1, executed by schedule[i]).  Consumed by the
-  /// explorer's adjacent-step independence (sleep-set) check.
+  /// explorer's DPOR race analysis and witness canonicalization.
   std::vector<Footprint> stepFootprints;
   /// True if the run was cut short because every runnable thread was in
   /// the DPOR sleep set (see Options::sleepSet): the executed portion is a
@@ -128,9 +123,9 @@ class VirtualScheduler {
   struct Options {
     /// Abort the run after this many decision points (livelock guard).
     std::uint64_t maxSteps = 200000;
-    /// Record per-decision-point state fingerprints and per-step footprints
-    /// into the RunResult (see RunResult::fingerprints).  Off by default:
-    /// only the pruning explorer pays for state hashing.
+    /// Record per-step footprints into the RunResult (see
+    /// RunResult::stepFootprints).  Off by default: only the DPOR explorer
+    /// pays for footprint tracking.
     bool captureState = false;
     /// Optional metrics sink: run() adds its step count, context-switch
     /// count (decision points where the pick changed threads) and run tally
@@ -218,25 +213,11 @@ class VirtualScheduler {
   /// consulted in registration order.
   void addIdleHandler(IdleHandler* h);
 
-  // ---- state fingerprinting (schedule-tree pruning) -----------------------
-
-  /// Register an object whose state participates in fingerprint().  Sources
-  /// are hashed in registration order, which is deterministic because the
-  /// explorer's program callback constructs the same objects in the same
-  /// order on every run.  Monitors, SharedVars and the Runtime register
-  /// themselves in virtual mode.
-  void addFingerprintSource(const FingerprintSource* s);
-
-  /// Unregister a source (called from its destructor).  Safe during
-  /// scheduler teardown.
-  void removeFingerprintSource(const FingerprintSource* s);
-
   // ---- state snapshots (incremental exploration) --------------------------
 
   /// Register an object whose mutable state must survive checkpoint /
   /// restore (see snapshot.hpp).  Monitors, SharedVars, the Runtime and
-  /// the Injector register themselves in virtual mode, mirroring their
-  /// fingerprint registration.
+  /// the Injector register themselves in virtual mode.
   void addSnapshotSource(SnapshotSource* s);
 
   /// Unregister a snapshot source (called from its destructor).
@@ -258,11 +239,6 @@ class VirtualScheduler {
   /// True when the program declared itself snapshot-safe and nothing
   /// vetoed it since.
   bool snapshotSafe() const { return snapshotSafe_ && !snapshotPoisoned_; }
-
-  /// Hash of the complete scheduler-visible state: every logical thread's
-  /// (status, block kind, block resource) plus each registered source.
-  /// Deterministic: equal states yield equal fingerprints across runs.
-  std::uint64_t fingerprint() const;
 
   /// Record that the currently-running logical thread accessed the resource
   /// identified by `tag` (see fpTag).  No-op unless Options::captureState is
@@ -360,8 +336,7 @@ class VirtualScheduler {
   Options opts_;
   // Declared before threads_ on purpose: destroying threads_ runs the
   // program closures' destructors, which unregister monitors / shared vars
-  // from these vectors — they must still be alive then.
-  std::vector<const FingerprintSource*> fingerprintSources_;
+  // from this vector — it must still be alive then.
   std::vector<SnapshotSource*> snapshotSources_;
   std::uint64_t snapshotSourceGen_ = 0;  // bumped on (un)registration
   Footprint stepFootprint_;

@@ -36,7 +36,7 @@ IncrementalRunner::~IncrementalRunner() = default;
 
 std::optional<RunResult> IncrementalRunner::run(
     const PrefixNode* node, const std::vector<ThreadId>& prefix,
-    ThreadId avoidAtFirstFree, std::size_t branchDepthLimit, bool dporMode) {
+    std::size_t branchDepthLimit, bool dporMode) {
   if (!usable_) return std::nullopt;
   // Checkpoints from the previous run that the explorer never bound to a
   // spine node have no restorable key: refund them.
@@ -83,7 +83,6 @@ std::optional<RunResult> IncrementalRunner::run(
     // from-scratch execution of the same schedule.
     result.schedule = from->schedule;
     result.choiceSets = from->choiceSets;
-    result.fingerprints = from->fingerprints;
     result.stepFootprints = from->stepFootprints;
     result.steps = fromDepth;
   } else if (!firstRun_) {
@@ -113,7 +112,7 @@ std::optional<RunResult> IncrementalRunner::run(
   // GLOBAL step, so a run seeded at depth d simply never consults entries
   // below d — and any gap [d, prefixLen) left by an evicted checkpoint is
   // replayed through the very same strategy (self-healing fallback).
-  replay_.emplace(prefix.data(), prefixLen, avoidAtFirstFree);
+  replay_.emplace(prefix.data(), prefixLen);
   swap_.reset(&*replay_);
   curPrefixLen_ = prefixLen;
   curBranchLimit_ = branchDepthLimit;
@@ -189,10 +188,8 @@ IncrementalRunner::Checkpoint IncrementalRunner::makeCheckpoint(
   ck.snap = sched_.saveSnapshot();
   ck.schedule = r.schedule;
   ck.choiceSets = r.choiceSets;
-  ck.fingerprints = r.fingerprints;
   ck.stepFootprints = r.stepFootprints;
   std::size_t path = ck.schedule.size() * sizeof(ThreadId) +
-                     ck.fingerprints.size() * sizeof(std::uint64_t) +
                      ck.stepFootprints.size() * sizeof(Footprint);
   for (const std::vector<ThreadId>& cs : ck.choiceSets) {
     path += sizeof(std::vector<ThreadId>) + cs.size() * sizeof(ThreadId);

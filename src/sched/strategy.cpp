@@ -77,11 +77,6 @@ ThreadId PrefixReplayStrategy::pick(const std::vector<ThreadId>& runnable,
     }
     return want;
   }
-  if (step == len_ && avoid_ != events::kNoThread) {
-    for (ThreadId t : runnable) {
-      if (t != avoid_) return t;  // lowest id among the non-avoided
-    }
-  }
   return runnable.front();
 }
 

@@ -325,10 +325,7 @@ void VirtualScheduler::runLoop(RunResult& result,
       static_cast<std::size_t>(std::min<std::uint64_t>(opts_.maxSteps, 4096));
   result.schedule.reserve(reserveSteps);
   result.choiceSets.reserve(reserveSteps);
-  if (opts_.captureState) {
-    result.fingerprints.reserve(reserveSteps);
-    result.stepFootprints.reserve(reserveSteps);
-  }
+  if (opts_.captureState) result.stepFootprints.reserve(reserveSteps);
   // The incremental runner pre-seeds `result` with a restored prefix; a
   // fresh run() starts empty.  Context switches are counted across the
   // seam so the tally matches a from-scratch execution of the same path.
@@ -427,10 +424,7 @@ void VirtualScheduler::runLoop(RunResult& result,
     ++result.steps;
     if (lastPick != events::kNoThread && pick != lastPick) ++contextSwitches;
     lastPick = pick;
-    if (opts_.captureState) {
-      result.fingerprints.push_back(fingerprint());
-      stepFootprint_.clear();
-    }
+    if (opts_.captureState) stepFootprint_.clear();
 
     ThreadRecord& rec = recordOf(pick);
     rec.state = ThreadState::Running;
@@ -595,21 +589,6 @@ void VirtualScheduler::addIdleHandler(IdleHandler* h) {
   idleHandlers_.push_back(h);
 }
 
-void VirtualScheduler::addFingerprintSource(const FingerprintSource* s) {
-  CONFAIL_ASSERT(s != nullptr, "null fingerprint source");
-  fingerprintSources_.push_back(s);
-}
-
-void VirtualScheduler::removeFingerprintSource(const FingerprintSource* s) {
-  for (auto it = fingerprintSources_.begin(); it != fingerprintSources_.end();
-       ++it) {
-    if (*it == s) {
-      fingerprintSources_.erase(it);
-      return;
-    }
-  }
-}
-
 void VirtualScheduler::addSnapshotSource(SnapshotSource* s) {
   CONFAIL_ASSERT(s != nullptr, "null snapshot source");
   snapshotSources_.push_back(s);
@@ -716,19 +695,6 @@ bool VirtualScheduler::restoreSnapshot(const Snapshot& snap) {
   (void)snap;
   return false;
 #endif
-}
-
-std::uint64_t VirtualScheduler::fingerprint() const {
-  std::uint64_t h = kFpSeed;
-  for (const auto& rec : threads_) {
-    h = fpMix(h, (static_cast<std::uint64_t>(rec->state) << 40) ^
-                     (static_cast<std::uint64_t>(rec->blockKind) << 32));
-    h = fpMix(h, rec->blockResource);
-  }
-  for (const FingerprintSource* s : fingerprintSources_) {
-    h = fpMix(h, s->stateFingerprint());
-  }
-  return h;
 }
 
 void VirtualScheduler::noteAccess(std::uint64_t tag, bool isWrite) {

@@ -1,16 +1,15 @@
 // FlatMapN<W>: a flat open-addressing hash table from W-word keys to 32-bit
 // values (FlatMap64 is the one-word alias).
 //
-// Both hot state-space engines key on a compact fixed-width encoding of a
-// state (the Petri reachability engine packs a 1-bounded marking into one
-// bit per place — one word for <= 64 places, up to four words for the
-// N-thread x M-monitor nets; the explorer's visited set keys on a
-// (depth, fingerprint) mix), so the table avoids the per-node allocation,
+// The Petri reachability engine keys on a compact fixed-width encoding of a
+// state (a 1-bounded marking packed into one bit per place — one word for
+// <= 64 places, up to four words for the N-thread x M-monitor nets), so
+// the table avoids the per-node allocation,
 // pointer chasing and bucket indirection of std::unordered_map: storage is
 // a single contiguous slot array probed linearly, and lookups on the
-// BFS/DFS hot path touch one cache line in the common case.  Capacity is a
+// BFS hot path touch one cache line in the common case.  Capacity is a
 // power of two, pre-reservable, and doubles at ~70% load.  No erase
-// (neither engine removes states mid-enumeration).
+// (no state is removed mid-enumeration).
 #pragma once
 
 #include <array>

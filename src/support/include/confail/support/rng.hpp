@@ -54,18 +54,6 @@ class Xoshiro256 {
     return static_cast<std::size_t>(below(c.size()));
   }
 
-  /// Hash of the generator's current position in its stream.  Two
-  /// generators with equal seeds that consumed the same draws hash equal;
-  /// used by the explorer's state fingerprints, since policy randomness
-  /// (wake selection, spurious wakes) is part of the execution state.
-  std::uint64_t stateHash() const noexcept {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::uint64_t w : s_) {
-      h = (h ^ w) * 0x100000001b3ull;
-    }
-    return h ^ (h >> 29);
-  }
-
  private:
   std::uint64_t s_[4];
 };

@@ -90,7 +90,6 @@ void expectEquivalent(const Exploration& inc, const Exploration& rep) {
   EXPECT_EQ(inc.stats.stepLimited, rep.stats.stepLimited);
   EXPECT_EQ(inc.stats.exceptions, rep.stats.exceptions);
   EXPECT_EQ(inc.stats.prunedBranches, rep.stats.prunedBranches);
-  EXPECT_EQ(inc.stats.dedupedStates, rep.stats.dedupedStates);
   EXPECT_EQ(inc.stats.dporBacktracks, rep.stats.dporBacktracks);
   EXPECT_EQ(inc.stats.exhausted, rep.stats.exhausted);
   EXPECT_EQ(inc.stats.firstFailure, rep.stats.firstFailure);
@@ -109,14 +108,12 @@ std::size_t depthFor(const std::string& name) {
   return sched::fibersSupported() ? full : full - 2;
 }
 
-constexpr Reduction kReductions[] = {Reduction::None, Reduction::Sleep,
-                                     Reduction::Dpor};
+constexpr Reduction kReductions[] = {Reduction::None, Reduction::Dpor};
 constexpr std::size_t kWorkerCounts[] = {1, 2, 8};
 
 const char* reductionName(Reduction r) {
   switch (r) {
     case Reduction::None: return "none";
-    case Reduction::Sleep: return "sleep";
     case Reduction::Dpor: return "dpor";
   }
   return "?";
@@ -125,7 +122,7 @@ const char* reductionName(Reduction r) {
 }  // namespace
 
 // The headline differential: incremental ≡ replay on every observable,
-// for {none, sleep, dpor} × {1, 2, 8} workers on fig2 and ff_t5_small.
+// for {none, dpor} × {1, 2, 8} workers on fig2 and ff_t5_small.
 TEST(SchedIncrementalTest, MatchesReplayAcrossModesAndWorkerCounts) {
   for (const char* name : {"fig2", "ff_t5_small"}) {
     const scenarios::NamedScenario* sc = scenarios::find(name);

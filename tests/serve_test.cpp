@@ -157,6 +157,20 @@ TEST(JobSpec, ParseRejectsMalformedDocuments) {
       error));
 }
 
+// One-shot sleep sets were removed from the explorer: a job naming them is
+// rejected, not silently run under another reduction.
+TEST(JobSpec, ParseRejectsRemovedSleepReduction) {
+  inject::JobSpec out;
+  std::string error;
+  EXPECT_FALSE(inject::JobSpec::parse(
+      "{\"schema\": \"confail.job.v1\", \"reductions\": [\"none\", \"sleep\"]}",
+      out, error));
+  EXPECT_NE(error.find("'sleep'"), std::string::npos) << error;
+  EXPECT_NE(error.find("none|dpor"), std::string::npos) << error;
+  Reduction r{};
+  EXPECT_FALSE(inject::parseReduction("sleep", r));
+}
+
 TEST(JobSpec, ValidateCatchesSemanticErrors) {
   inject::JobSpec spec = smallSpec();
   EXPECT_EQ(spec.validate(), "");
@@ -186,7 +200,7 @@ TEST(JobSpec, ExpandShardsIsDeterministicAndOrdered) {
   inject::JobSpec spec;
   spec.name = "grid";
   spec.scenarios = {"fig2", "lock_order"};
-  spec.reductions = {Reduction::None, Reduction::Sleep};
+  spec.reductions = {Reduction::None, Reduction::Dpor};
   spec.maxRuns = 50;
 
   const std::vector<inject::ShardSpec> shards = inject::expandShards(spec);
@@ -429,6 +443,36 @@ TEST(Server, MalformedSubmissionIsDroppedNotLooped) {
   EXPECT_TRUE(store.scanQueue().empty());
   serve::JobState st;
   ASSERT_TRUE(store.readState("broken", st));
+  EXPECT_EQ(st.status, "failed");
+}
+
+// A queued job whose reductions name the removed "sleep" mode takes the
+// malformed-submission path: failed once, dequeued, never run.
+TEST(Server, QueuedSleepReductionJobIsDroppedAsMalformed) {
+  TempRoot root;
+  serve::CampaignStore store(root.str());
+  ASSERT_TRUE(store.init());
+  inject::JobSpec spec;
+  spec.name = "oldjob";
+  spec.scenarios = {"lock_order"};
+  std::string doc = spec.toJson();
+  const std::string none = "\"none\"";
+  const std::size_t at = doc.find(none);
+  ASSERT_NE(at, std::string::npos);
+  doc.replace(at, none.size(), "\"sleep\"");
+  ASSERT_TRUE(serve::CampaignStore::writeFileAtomic(
+      (root.path / "queue" / "oldjob.json").string(), doc));
+
+  serve::ServerOptions opts;
+  opts.root = root.str();
+  opts.subprocess = false;
+  opts.exitWhenIdle = true;
+  serve::Server server(std::move(opts));
+  EXPECT_EQ(server.run(), 1);
+
+  EXPECT_TRUE(store.scanQueue().empty());
+  serve::JobState st;
+  ASSERT_TRUE(store.readState("oldjob", st));
   EXPECT_EQ(st.status, "failed");
 }
 

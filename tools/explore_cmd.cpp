@@ -27,14 +27,13 @@ namespace {
 int usage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s --scenario <name> [--workers N] "
-               "[--prune] [--reduction none|sleep|dpor]\n"
-               "               [--sleep-sets] [--max-runs N] [--max-depth N] "
+               "[--reduction none|dpor]\n"
+               "               [--max-runs N] [--max-depth N] "
                "[--max-steps N] [--json]\n"
                "               [--incremental | --no-incremental] "
                "[--snapshot-budget-mb N]\n"
                "               [--metrics-out FILE] "
                "[--chrome-trace FILE] [--jsonl-out FILE] [--progress]\n\n"
-               "--sleep-sets is shorthand for --reduction sleep.\n"
                "--jsonl-out captures one run as JSONL events ('-' for "
                "stdout) — pipe it\nstraight into the streaming analyzer:\n"
                "  confail explore --scenario S --jsonl-out - | "
@@ -93,8 +92,13 @@ int cmdExplore(const char* prog, int argc, char** argv) {
         const char* v = next();
         if (v == nullptr) return usage(prog);
         eo.maxSteps = std::stoull(v);
-      } else if (arg == "--prune") {
-        eo.fingerprintPruning = true;
+      } else if (arg == "--prune" || arg == "--sleep-sets") {
+        // Removed reductions: fingerprint pruning lost failure states and
+        // one-shot sleep sets were dominated by DPOR (docs/exploration.md).
+        std::fprintf(stderr,
+                     "%s: %s was removed; use --reduction none|dpor\n", prog,
+                     arg.c_str());
+        return usage(prog);
       } else if (arg == "--incremental") {
         eo.incremental = true;
       } else if (arg == "--no-incremental") {
@@ -103,8 +107,6 @@ int cmdExplore(const char* prog, int argc, char** argv) {
         const char* v = next();
         if (v == nullptr) return usage(prog);
         eo.snapshotBudgetBytes = std::stoull(v) * 1024 * 1024;
-      } else if (arg == "--sleep-sets") {
-        eo.reduction = sched::ExhaustiveExplorer::Reduction::Sleep;
       } else if (arg == "--reduction" || arg.rfind("--reduction=", 0) == 0) {
         std::string v;
         if (arg == "--reduction") {
@@ -115,8 +117,8 @@ int cmdExplore(const char* prog, int argc, char** argv) {
           v = arg.substr(std::strlen("--reduction="));
         }
         if (!inject::parseReduction(v, eo.reduction)) {
-          std::fprintf(stderr, "%s: unknown reduction '%s'\n", prog,
-                       v.c_str());
+          std::fprintf(stderr, "%s: unknown reduction '%s' (want none|dpor)\n",
+                       prog, v.c_str());
           return usage(prog);
         }
       } else if (arg == "--json") {

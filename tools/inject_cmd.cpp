@@ -51,7 +51,7 @@ int usage(const char* prog) {
                "       %s --campaign [--out FILE] [--no-controls]\n"
                "       common: [--max-runs N] [--max-steps N] [--max-depth N] "
                "[--workers N]\n"
-               "               [--reduction none|sleep|dpor]\n\n"
+               "               [--reduction none|dpor]\n\n"
                "injectable classes:\n",
                prog, prog);
   for (taxonomy::FailureClass cls : inject::injectableClasses()) {
@@ -187,8 +187,8 @@ int cmdInject(const char* prog, int argc, char** argv) {
     } else if (arg == "--reduction") {
       const char* v = next();
       if (v == nullptr || !inject::parseReduction(v, opts.reduction)) {
-        std::fprintf(stderr, "%s: unknown reduction '%s'\n", prog,
-                     v == nullptr ? "" : v);
+        std::fprintf(stderr, "%s: unknown reduction '%s' (want none|dpor)\n",
+                     prog, v == nullptr ? "" : v);
         return usage(prog);
       }
     } else if (arg == "--findings-cap") {

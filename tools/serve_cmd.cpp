@@ -66,7 +66,7 @@ int usageSubmit(const char* prog) {
   std::fprintf(stderr,
                "usage: %s --root DIR (--job FILE | [--name N] "
                "[--scenario S]... [--class C]...\n"
-               "               [--reduction none|sleep|dpor]... "
+               "               [--reduction none|dpor]... "
                "[--max-runs N] [--max-steps N]\n"
                "               [--max-depth N] [--workers N] "
                "[--no-controls])\n",
@@ -272,8 +272,8 @@ int cmdSubmit(const char* prog, int argc, char** argv) {
       sched::ExhaustiveExplorer::Reduction r =
           sched::ExhaustiveExplorer::Reduction::None;
       if (v == nullptr || !inject::parseReduction(v, r)) {
-        std::fprintf(stderr, "%s: unknown reduction '%s'\n", prog,
-                     v == nullptr ? "" : v);
+        std::fprintf(stderr, "%s: unknown reduction '%s' (want none|dpor)\n",
+                     prog, v == nullptr ? "" : v);
         return usageSubmit(prog);
       }
       // The first --reduction replaces the default {none}; later ones add.
