@@ -51,16 +51,6 @@ namespace scenarios = confail::components::scenarios;
 
 namespace {
 
-std::uint64_t deadlockSignature(const sched::RunResult& r) {
-  std::uint64_t h = sched::kFpSeed;
-  for (const sched::BlockedThreadInfo& b : r.blocked) {
-    h = sched::fpMix(h, (static_cast<std::uint64_t>(b.id) << 32) ^
-                            static_cast<std::uint64_t>(b.kind));
-    h = sched::fpMix(h, b.resource);
-  }
-  return h;
-}
-
 struct Measured {
   sched::ExhaustiveExplorer::Stats stats;
   std::set<std::uint64_t> deadlockSigs;
@@ -86,7 +76,7 @@ Measured run(const char* scenario, std::size_t workers,
       scenarios::find(scenario)->fn,
       [&m](const std::vector<sched::ThreadId>&, const sched::RunResult& r) {
         if (r.outcome == sched::Outcome::Deadlock) {
-          m.deadlockSigs.insert(deadlockSignature(r));
+          m.deadlockSigs.insert(sched::deadlockSignature(r));
         }
         return true;
       });

@@ -7,8 +7,8 @@
 //   2. Stress under random schedules (P producers x C consumers of the
 //      asymmetric monitor): every string is received intact, in order.
 //   3. Model conformance: the stress trace replays through the Figure 1
-//      Petri net, and throughput of the substrate is reported in both
-//      virtual and real mode.
+//      Petri net, and the throughput of a bulk transfer under the virtual
+//      scheduler is reported.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -122,7 +122,7 @@ int main() {
                 static_cast<unsigned long long>(totalEvents));
   }
 
-  std::printf("\n--- throughput: virtual vs real mode ---\n");
+  std::printf("\n--- throughput: bulk transfer ---\n");
   {
     using Clock = std::chrono::steady_clock;
     constexpr int kMessages = 2000;
@@ -142,32 +142,13 @@ int main() {
       rt.spawn("consumer", [&] {
         for (int i = 0; i < kMessages; ++i) (void)pc.receive();
       });
-      check(s.run().ok(), "virtual-mode bulk transfer completed");
+      check(s.run().ok(), "bulk transfer completed");
     }
     auto t1 = Clock::now();
-    {
-      ev::Trace trace;
-      Runtime rt(trace, 1);
-      ProducerConsumer pc(rt);
-      rt.spawn("producer", [&] {
-        for (int m = 0; m < kMessages; ++m) pc.send("x");
-      });
-      rt.spawn("consumer", [&] {
-        for (int i = 0; i < kMessages; ++i) (void)pc.receive();
-      });
-      rt.joinAll();
-      check(true, "real-mode bulk transfer completed");
-    }
-    auto t2 = Clock::now();
-    auto us = [](auto d) {
-      return std::chrono::duration_cast<std::chrono::microseconds>(d).count();
-    };
-    std::printf("    virtual mode: %lld us for %d messages (%.2f us/msg)\n",
-                static_cast<long long>(us(t1 - t0)), kMessages,
-                static_cast<double>(us(t1 - t0)) / kMessages);
-    std::printf("    real mode:    %lld us for %d messages (%.2f us/msg)\n",
-                static_cast<long long>(us(t2 - t1)), kMessages,
-                static_cast<double>(us(t2 - t1)) / kMessages);
+    const long long us =
+        std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count();
+    std::printf("    %lld us for %d messages (%.2f us/msg)\n", us, kMessages,
+                static_cast<double>(us) / kMessages);
   }
 
   std::printf("\n%s\n", failures == 0 ? "FIGURE 2 REPRODUCTION: OK"

@@ -1,7 +1,8 @@
 // Ablation B: micro-costs of the substrate (google-benchmark).
 //
 // Quantifies what each layer of instrumentation costs:
-//   * monitor lock/unlock and wait/notify round-trips, real vs virtual mode
+//   * a producer-consumer message (monitor lock/unlock and wait/notify
+//     round-trips) under the virtual scheduler
 //   * trace event recording
 //   * schedule-point overhead of the virtual scheduler (context handoff)
 //   * lockset / vector-clock per-access analysis cost
@@ -14,7 +15,6 @@
 #include "confail/detect/hb_detector.hpp"
 #include "confail/detect/lockset.hpp"
 #include "confail/events/trace.hpp"
-#include "confail/monitor/monitor.hpp"
 #include "confail/monitor/runtime.hpp"
 #include "confail/monitor/shared_var.hpp"
 #include "confail/petri/reachability.hpp"
@@ -23,9 +23,7 @@
 
 namespace ev = confail::events;
 namespace sched = confail::sched;
-using confail::monitor::Monitor;
 using confail::monitor::Runtime;
-using confail::monitor::Synchronized;
 
 // ---------------------------------------------------------------------------
 
@@ -44,39 +42,9 @@ static void BM_TraceRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceRecord);
 
-static void BM_RealMonitorLockUnlock(benchmark::State& state) {
-  ev::Trace trace;
-  Runtime rt(trace, 1);
-  Monitor m(rt, "m");
-  for (auto _ : state) {
-    Synchronized sync(m);
-    benchmark::ClobberMemory();
-    if (trace.size() > 1u << 20) {
-      state.PauseTiming();
-      trace.clear();
-      state.ResumeTiming();
-    }
-  }
-}
-BENCHMARK(BM_RealMonitorLockUnlock);
-
-static void BM_RealMonitorContended(benchmark::State& state) {
-  // Measures an uncontended baseline per iteration with contention supplied
-  // by sibling benchmark threads.
-  static ev::Trace trace;
-  static Runtime rt(trace, 1);
-  static Monitor m(rt, "m");
-  for (auto _ : state) {
-    Synchronized sync(m);
-    benchmark::ClobberMemory();
-  }
-  if (state.thread_index() == 0) trace.clear();
-}
-BENCHMARK(BM_RealMonitorContended)->Threads(4)->UseRealTime();
-
 static void BM_VirtualSchedulerHandoff(benchmark::State& state) {
-  // Cost of one schedule point (two semaphore hops) in the virtual mode,
-  // measured by running a fixed-size yield loop per iteration batch.
+  // Cost of one schedule point (a fiber switch to the controller and
+  // back), measured by running a fixed-size yield loop per iteration batch.
   const int kYields = 1000;
   for (auto _ : state) {
     sched::RoundRobinStrategy strategy;

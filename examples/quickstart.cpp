@@ -1,10 +1,10 @@
 // Quickstart: write a concurrent component on the confail monitor
 // substrate, test it deterministically, and let the detectors vet the run.
 //
-//   1. A Runtime in Virtual mode puts every thread under the deterministic
-//      scheduler: runs are reproducible, deadlocks are observable.
+//   1. A Runtime puts every thread under the deterministic scheduler: runs
+//      are reproducible, deadlocks are observable.
 //   2. Components use Monitor (Java object-lock semantics) + SharedVar
-//      (instrumented data) and work unchanged in Real mode too.
+//      (instrumented data) and run unchanged under every strategy.
 //   3. After the run, the trace feeds the detector battery, and a run
 //      outcome of Deadlock/StepLimit pinpoints liveness failures.
 #include <cstdio>

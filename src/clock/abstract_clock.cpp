@@ -10,33 +10,19 @@ using events::EventKind;
 using events::kNoMonitor;
 
 AbstractClock::AbstractClock(Runtime& rt) : rt_(rt) {
-  if (rt_.isVirtual()) {
-    rt_.scheduler().addIdleHandler(this);
-  }
-}
-
-std::uint64_t AbstractClock::time() const {
-  if (rt_.isVirtual()) return time_;  // single active context
-  std::lock_guard<std::mutex> g(mu_);
-  return time_;
+  rt_.scheduler().addIdleHandler(this);
 }
 
 void AbstractClock::await(std::uint64_t t) {
-  if (rt_.isVirtual()) {
-    events::ThreadId self = rt_.scheduler().currentThread();
-    CONFAIL_CHECK(self != events::kNoThread, UsageError,
-                  "await() called from outside a logical thread");
-    // Always emitted (even when already due) so trace consumers can bracket
-    // the caller's activity between consecutive awaits.
-    rt_.emit(EventKind::ClockAwait, kNoMonitor, t);
-    if (time_ >= t) return;
-    awaiters_.push_back(Awaiter{self, t});
-    rt_.scheduler().block(sched::BlockKind::ClockAwait, t);
-    return;
-  }
+  events::ThreadId self = rt_.scheduler().currentThread();
+  CONFAIL_CHECK(self != events::kNoThread, UsageError,
+                "await() called from outside a logical thread");
+  // Always emitted (even when already due) so trace consumers can bracket
+  // the caller's activity between consecutive awaits.
   rt_.emit(EventKind::ClockAwait, kNoMonitor, t);
-  std::unique_lock<std::mutex> g(mu_);
-  cv_.wait(g, [&] { return time_ >= t; });
+  if (time_ >= t) return;
+  awaiters_.push_back(Awaiter{self, t});
+  rt_.scheduler().block(sched::BlockKind::ClockAwait, t);
 }
 
 void AbstractClock::wakeReady() {
@@ -49,18 +35,9 @@ void AbstractClock::wakeReady() {
 }
 
 void AbstractClock::tick() {
-  if (rt_.isVirtual()) {
-    ++time_;
-    rt_.emit(EventKind::ClockTick, kNoMonitor, time_);
-    wakeReady();
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    ++time_;
-  }
+  ++time_;
   rt_.emit(EventKind::ClockTick, kNoMonitor, time_);
-  cv_.notify_all();
+  wakeReady();
 }
 
 bool AbstractClock::onIdle() {

@@ -8,19 +8,14 @@
 //   * time()    — "returns the number of units of time passed since the
 //                  clock started"
 //
-// In virtual mode the clock registers itself as a scheduler IdleHandler:
-// when no logical thread is runnable but some are awaiting, the clock
-// auto-advances to the earliest awaited time (discrete-event semantics).
-// This removes the need for an explicit ticker thread and makes completion
-// ticks exact.  Manual tick() is also supported for ConAn-style scripts.
-//
-// In real mode the clock is a mutex/condition-variable structure and a
-// driver thread must call tick() (see conan::TestDriver).
+// The clock registers itself as a scheduler IdleHandler: when no logical
+// thread is runnable but some are awaiting, the clock auto-advances to the
+// earliest awaited time (discrete-event semantics).  This removes the need
+// for an explicit ticker thread and makes completion ticks exact.  Manual
+// tick() is also supported for ConAn-style scripts.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "confail/monitor/runtime.hpp"
@@ -32,48 +27,43 @@ using monitor::Runtime;
 
 class AbstractClock : public sched::IdleHandler {
  public:
-  /// Creates the clock at time 0.  In virtual mode, registers as an idle
-  /// handler on the runtime's scheduler (auto-advance enabled by default).
+  /// Creates the clock at time 0 and registers it as an idle handler on
+  /// the runtime's scheduler (auto-advance enabled by default).
   explicit AbstractClock(Runtime& rt);
 
   AbstractClock(const AbstractClock&) = delete;
   AbstractClock& operator=(const AbstractClock&) = delete;
 
   /// Units of logical time passed since the clock started.
-  std::uint64_t time() const;
+  std::uint64_t time() const { return time_; }
 
   /// Delay the calling thread until the clock reaches time t.
   /// Returns immediately if time() >= t already.
   void await(std::uint64_t t);
 
   /// Advance time by one unit and wake any thread awaiting a time <= the
-  /// new time.  Callable from any thread (or, in virtual mode, a logical
-  /// thread only).
+  /// new time.  Callable from a logical thread.
   void tick();
 
-  /// Virtual mode: enable/disable auto-advance when the system is idle.
-  /// (Enabled by default; disable to script ticks manually.)
+  /// Enable/disable auto-advance when the system is idle.  (Enabled by
+  /// default; disable to script ticks manually.)
   void setAutoAdvance(bool enabled) { autoAdvance_ = enabled; }
 
   /// IdleHandler: advance to the earliest awaited time, if any.
   bool onIdle() override;
 
  private:
-  void wakeReady();  // virtual mode, time_ already advanced
+  void wakeReady();  // time_ already advanced
 
   Runtime& rt_;
   bool autoAdvance_ = true;
 
-  // Virtual mode state (single active context; no locking needed).
+  // One logical thread runs at a time, so no locking is needed.
   struct Awaiter {
     events::ThreadId tid;
     std::uint64_t target;
   };
   std::vector<Awaiter> awaiters_;
-
-  // Shared / real mode state.
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::uint64_t time_ = 0;
 };
 

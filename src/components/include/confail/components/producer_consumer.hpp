@@ -64,9 +64,9 @@ class ProducerConsumer {
     /// thread and the rest hang.
     bool notifyOneOnly = false;
     /// Environment hostility rather than a code fault: probability of a
-    /// spurious wakeup per unlock (virtual mode).  Harmless with while-
-    /// guards; converts the ifInsteadOfWhile vulnerability into real
-    /// EF-T5 premature re-entry.
+    /// spurious wakeup per unlock.  Harmless with while-guards; converts
+    /// the ifInsteadOfWhile vulnerability into real EF-T5 premature
+    /// re-entry.
     double spuriousWakeProbability = 0.0;
   };
 

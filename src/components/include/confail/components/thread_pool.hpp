@@ -20,8 +20,8 @@ class ThreadPool {
  public:
   using Task = std::function<void()>;
 
-  /// Creates `workers` logical threads immediately (in virtual mode they
-  /// run once the scheduler runs).  `queueCapacity` bounds submit().
+  /// Creates `workers` logical threads immediately (they run once the
+  /// scheduler runs).  `queueCapacity` bounds submit().
   ThreadPool(monitor::Runtime& rt, const std::string& name, int workers,
              std::size_t queueCapacity);
 

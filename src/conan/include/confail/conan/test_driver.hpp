@@ -76,7 +76,7 @@ struct CallReport {
 
 /// Aggregate result of a driver execution.
 struct Results {
-  sched::RunResult run;  ///< scheduler outcome (virtual mode)
+  sched::RunResult run;  ///< scheduler outcome
   std::vector<CallReport> reports;
 
   bool allPassed() const;
@@ -100,14 +100,10 @@ class TestDriver {
                           completionWindow = std::nullopt,
                       bool expectHang = false);
 
-  /// Execute the scripted scenario.
-  ///   Virtual mode: spawns one logical thread per test-thread name, runs
-  ///   the scheduler (the abstract clock auto-advances when idle) and
-  ///   returns exact reports.  A deadlock outcome is normal when expectHang
-  ///   calls are present.
-  ///   Real mode: spawns real threads plus a ticker thread that advances
-  ///   the clock whenever all scripted threads are awaiting or done; joins
-  ///   with a wall-clock timeout per tick.
+  /// Execute the scripted scenario: spawns one logical thread per
+  /// test-thread name, runs the scheduler (the abstract clock auto-advances
+  /// when idle) and returns exact reports.  A deadlock outcome is normal
+  /// when expectHang calls are present.
   Results execute();
 
  private:

@@ -1,9 +1,6 @@
 #include "confail/conan/test_driver.hpp"
 
-#include <atomic>
-#include <chrono>
 #include <sstream>
-#include <thread>
 
 #include "confail/support/assert.hpp"
 
@@ -103,41 +100,13 @@ void TestDriver::runThreadCalls(const std::string& threadName) {
 
 Results TestDriver::execute() {
   Results results;
-
-  if (rt_.isVirtual()) {
-    for (const std::string& name : threadOrder_) {
-      rt_.spawn(name, [this, name] { runThreadCalls(name); });
-    }
-    // The abstract clock auto-advances whenever every logical thread is
-    // blocked, so the run either completes or ends in a genuine deadlock
-    // (which is legitimate when expectHang calls are present).
-    results.run = rt_.scheduler().run();
-  } else {
-    for (const Slot& s : slots_) {
-      CONFAIL_CHECK(!s.call.expectHang, UsageError,
-                    "expectHang calls require virtual mode");
-    }
-    std::atomic<std::size_t> threadsDone{0};
-    const std::size_t total = threadOrder_.size();
-    for (const std::string& name : threadOrder_) {
-      rt_.spawn(name, [this, name, &threadsDone] {
-        runThreadCalls(name);
-        threadsDone.fetch_add(1, std::memory_order_release);
-      });
-    }
-    // Ticker: advance logical time until every scripted thread finished.
-    // Real mode is best-effort (used for benches and demos); deterministic
-    // verdicts come from virtual mode.
-    std::thread ticker([&] {
-      while (threadsDone.load(std::memory_order_acquire) < total) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-        clk_.tick();
-      }
-    });
-    rt_.joinAll();
-    ticker.join();
-    results.run.outcome = sched::Outcome::Completed;
+  for (const std::string& name : threadOrder_) {
+    rt_.spawn(name, [this, name] { runThreadCalls(name); });
   }
+  // The abstract clock auto-advances whenever every logical thread is
+  // blocked, so the run either completes or ends in a genuine deadlock
+  // (which is legitimate when expectHang calls are present).
+  results.run = rt_.scheduler().run();
 
   // Evaluate expectations.
   for (Slot& s : slots_) {

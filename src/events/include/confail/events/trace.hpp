@@ -18,15 +18,15 @@ class EventSink {
  public:
   virtual ~EventSink() = default;
   /// Called for every recorded event, in global seq order.  Called with the
-  /// trace lock held in real mode; implementations must not re-enter Trace.
+  /// trace lock held; implementations must not re-enter Trace.
   virtual void onEvent(const Event& e) = 0;
 };
 
 /// Append-only event log with registration of human-readable names.
 ///
-/// In virtual execution mode, at most one logical thread runs at a time, so
-/// contention is nil; in real mode a mutex serializes appends and assigns
-/// the global sequence numbers.
+/// A mutex serializes appends and assigns the global sequence numbers.
+/// Under the virtual scheduler at most one logical thread runs at a time,
+/// so it is never contended.
 class Trace {
  public:
   Trace() = default;
@@ -84,8 +84,8 @@ class Trace {
   /// valid when runs restore checkpoints in arbitrary (non-stack) order:
   /// after a sibling run rewound shallower and appended its own events,
   /// the first n slots no longer hold the checkpoint's prefix, so the
-  /// content itself must be restored.  Sinks are not replayed (they are a
-  /// real-mode facility; virtual-mode analyses read the finished trace).
+  /// content itself must be restored.  Sinks are not replayed: they saw
+  /// the restored prefix when it was first recorded.
   void restore(const std::vector<Event>& events);
 
   /// Serialize to the line format of Event::toString, one event per line,

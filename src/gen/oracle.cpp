@@ -126,8 +126,7 @@ ExploreOut explorePr(const Program& p, Reduction red, std::size_t depth,
       [&](const std::vector<sched::ThreadId>& schedule,
           const sched::RunResult& r) {
         if (r.outcome == sched::Outcome::Deadlock) {
-          out.obs.deadlockSigs.insert(
-              inject::ExploreConfig::deadlockSignature(r));
+          out.obs.deadlockSigs.insert(sched::deadlockSignature(r));
         }
         if (collectFailures && r.outcome != sched::Outcome::Completed) {
           out.failures.push_back(schedule);

@@ -97,13 +97,7 @@ ExploreConfig& ExploreConfig::captureRuns(bool on) {
 }
 
 std::uint64_t ExploreConfig::deadlockSignature(const sched::RunResult& r) {
-  std::uint64_t h = sched::kFpSeed;
-  for (const sched::BlockedThreadInfo& b : r.blocked) {
-    h = sched::fpMix(h, (static_cast<std::uint64_t>(b.id) << 32) ^
-                            static_cast<std::uint64_t>(b.kind));
-    h = sched::fpMix(h, b.resource);
-  }
-  return h;
+  return sched::deadlockSignature(r);
 }
 
 obs::ExploreSummary ExploreConfig::Outcome::summary() const {
@@ -206,7 +200,7 @@ ExploreConfig::Outcome ExploreConfig::explore(const RunObserver& onRun) const {
                    const std::vector<sched::ThreadId>& schedule,
                    const sched::RunResult& r) {
         if (r.outcome == sched::Outcome::Deadlock) {
-          deadlockSigs.insert(deadlockSignature(r));
+          deadlockSigs.insert(sched::deadlockSignature(r));
         }
         if (!onRun) return true;
         RunView view{schedule, r};

@@ -41,7 +41,7 @@ struct CampaignOptions {
   std::size_t maxBranchDepth = 4;    ///< keeps each cell's tree small
   std::size_t workers = 1;           ///< 1 = deterministic cell traversal
   /// Schedule-tree reduction each cell is explored under (a campaign grid
-  /// axis: the same plan can be run under none/sleep/dpor side by side).
+  /// axis: the same plan can be run under none/dpor side by side).
   sched::ExhaustiveExplorer::Reduction reduction =
       sched::ExhaustiveExplorer::Reduction::None;
   bool negativeControls = true;

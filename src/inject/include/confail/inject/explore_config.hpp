@@ -107,8 +107,7 @@ class ExploreConfig {
   /// events when the scenario has the buffer.
   void capture(events::Trace& trace, obs::Registry& metricsReg) const;
 
-  /// Hash of the blocked-thread multiset of a deadlocked run — two
-  /// deadlocks with equal signatures stuck in the same final state.
+  /// Forwards to sched::deadlockSignature.
   static std::uint64_t deadlockSignature(const sched::RunResult& r);
 
  private:

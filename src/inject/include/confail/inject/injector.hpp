@@ -29,9 +29,8 @@ namespace confail::inject {
 class Injector final : public monitor::InjectionHooks,
                        public sched::SnapshotSource {
  public:
-  /// Attaches to `rt` (virtual mode only) and registers with its scheduler.
-  /// Throws UsageError if the plan's class is not injectable or the runtime
-  /// is in real mode.
+  /// Attaches to `rt` and registers with its scheduler.  Throws UsageError
+  /// if the plan's class is not injectable.
   Injector(monitor::Runtime& rt, const InjectionPlan& plan);
   ~Injector() override;
 

@@ -13,10 +13,6 @@ Injector::Injector(monitor::Runtime& rt, const InjectionPlan& plan)
                               taxonomy::failureClassName(plan_.cls) +
                               " has no deviation operator");
   }
-  if (!rt_.isVirtual()) {
-    throw confail::UsageError(
-        "Injector: deviation injection requires a virtual-mode Runtime");
-  }
   rt_.setInjection(this);
   rt_.scheduler().addSnapshotSource(this);
 }

@@ -9,10 +9,9 @@
 // its overrides opt into, and a null pointer costs one branch per
 // operation.
 //
-// The seam is virtual-mode only: deviations must be deterministic under
-// the virtual scheduler so the explorer can enumerate and replay them
-// (confail::inject::Injector is the production implementation).  Real-mode
-// monitors ignore the hooks entirely.
+// Deviations must be deterministic under the virtual scheduler so the
+// explorer can enumerate and replay them (confail::inject::Injector is the
+// production implementation).
 //
 // Contract for implementations:
 //   * Hooks are invoked from logical threads while the scheduler runs, so
@@ -33,7 +32,7 @@ namespace confail::monitor {
 
 class InjectionHooks {
  public:
-  /// Deviation applied to a lock() call (vLock entry, non-reentrant case).
+  /// Deviation applied to a lock() call (non-reentrant case).
   enum class LockAction : std::uint8_t {
     Proceed,  ///< normal semantics
     Elide,    ///< FF-T1: skip the acquire — the thread runs unsynchronized

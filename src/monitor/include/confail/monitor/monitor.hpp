@@ -22,17 +22,13 @@
 // a single lock token, and the JLS releases the object lock only at the
 // outermost exit.
 //
-// The monitor runs in both execution modes of its Runtime:
-//   * Virtual — blocking is VirtualScheduler state; the wake and grant
-//     policies are deterministic per seed; deadlocks are observable.
-//   * Real    — blocking uses an internal std::mutex/std::condition_variable
-//     pair; used for native-speed benches.
+// Blocking is VirtualScheduler state: a thread waiting for the lock or a
+// notification is a blocked logical thread, the wake and grant policies
+// are deterministic per seed, and deadlocks are observable.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -61,7 +57,7 @@ class Monitor : public sched::SnapshotSource {
   struct Options {
     SelectPolicy grantPolicy = SelectPolicy::Fifo;  ///< entry-queue choice
     SelectPolicy wakePolicy = SelectPolicy::Fifo;   ///< wait-set choice
-    double spuriousWakeProbability = 0.0;  ///< virtual mode: per-unlock chance
+    double spuriousWakeProbability = 0.0;  ///< per-unlock chance
   };
 
   Monitor(Runtime& rt, std::string name) : Monitor(rt, std::move(name), Options()) {}
@@ -71,7 +67,7 @@ class Monitor : public sched::SnapshotSource {
   Monitor(const Monitor&) = delete;
   Monitor& operator=(const Monitor&) = delete;
 
-  /// Snapshot payload size (virtual mode): the VirtualState copy.
+  /// Snapshot payload size: the State copy.
   std::size_t snapshotBytes() const override;
 
   /// Enter the monitor (Figure 1: T1, then T2 once the lock is granted).
@@ -102,42 +98,46 @@ class Monitor : public sched::SnapshotSource {
   bool heldByCurrent();
   /// Number of threads currently in the wait set.
   std::size_t waitSetSize();
-  /// Number of threads queued for lock entry (virtual mode; 0 in real mode,
-  /// where the entry queue is implicit in the condition variable).
+  /// Number of threads queued for lock entry.
   std::size_t entryQueueLength();
   /// Current recursion depth (0 when unowned).
   std::uint32_t depth();
 
  private:
-  struct VirtualState;
-  struct RealState;
+  // Owner, recursion depth, entry queue and wait set.  Invariant: owner ==
+  // kNoThread implies the entry queue is empty, because every release
+  // (unlock / wait) immediately hands the lock to a queued thread if one
+  // exists.
+  struct State {
+    ThreadId owner = events::kNoThread;
+    std::uint32_t depth = 0;
+    struct Entry {
+      ThreadId tid;
+      std::uint32_t restoreDepth;  // 1 for fresh lock, saved depth for wait
+    };
+    std::vector<Entry> entry;
+    struct Waiter {
+      ThreadId tid;
+      std::uint32_t savedDepth;
+    };
+    std::vector<Waiter> waiters;
+  };
 
-  // Snapshot protocol (virtual mode): a deep copy of VirtualState.
+  // Snapshot protocol: a deep copy of State.
   std::shared_ptr<const void> saveState() const override;
   void restoreState(const std::shared_ptr<const void>& payload) override;
 
-  // Virtual-mode helpers (defined in monitor.cpp).
-  void vLock(ThreadId self);
-  void vUnlock(ThreadId self);
-  void vWait(ThreadId self);
-  void vNotify(ThreadId self, bool all);
-  void vGrantNext();
-  void vInjectHookWake(InjectionHooks& hooks);
-  void vInjectSpuriousWakes();
-  std::size_t vSelect(std::size_t size, SelectPolicy policy);
-
-  // Real-mode helpers.
-  void rLock(ThreadId self);
-  void rUnlock(ThreadId self);
-  void rWait(ThreadId self);
-  void rNotify(ThreadId self, bool all);
+  void notify(bool all);
+  void grantNext();
+  void injectHookWake(InjectionHooks& hooks);
+  void injectSpuriousWakes();
+  std::size_t choose(std::size_t size, SelectPolicy policy);
 
   Runtime& rt_;
   std::string name_;
   MonitorId id_;
   Options opts_;
-  std::unique_ptr<VirtualState> v_;
-  std::unique_ptr<RealState> r_;
+  State st_;
   // Per-monitor counters, resolved once from the runtime's metrics registry
   // at construction (null when no registry is attached — the common,
   // uninstrumented case costs one branch per operation).
@@ -148,9 +148,9 @@ class Monitor : public sched::SnapshotSource {
 
 /// RAII equivalent of a Java `synchronized (m) { ... }` block.
 ///
-/// The destructor is noexcept(false): in virtual mode the unlock contains a
-/// schedule point, and a thread parked there when the run is torn down must
-/// unwind via ExecutionAborted — which therefore may propagate out of this
+/// The destructor is noexcept(false): the unlock contains a schedule
+/// point, and a thread parked there when the run is torn down must unwind
+/// via ExecutionAborted — which therefore may propagate out of this
 /// destructor.  That is safe: the teardown path never runs while another
 /// exception is in flight (the unlock short-circuits during unwinding).
 class Synchronized {

@@ -1,23 +1,23 @@
 // Runtime: the execution context shared by all instrumented objects.
 //
 // A Runtime binds together
-//   * the execution mode — Virtual (deterministic, scheduler-controlled) or
-//     Real (native std::thread preemption),
+//   * the VirtualScheduler under which every logical thread runs (one
+//     fiber per thread; the strategy picks who runs at each schedule
+//     point, so a run is deterministic per seed and deadlocks are
+//     observable),
 //   * the Trace into which every instrumented operation records an Event,
 //   * id allocation and naming for monitors / shared variables / methods,
 //   * per-thread bookkeeping (component-method stacks for CoFG coverage),
-//   * a seeded RNG for all policy decisions (wake selection, noise).
+//   * a seeded RNG for all policy decisions (wake and grant selection).
 //
-// Components (confail::components) take a Runtime& and work unchanged in
-// both modes; tests and the explorer use Virtual mode, throughput benches
-// use Real mode.
+// Components (confail::components) take a Runtime& and run unchanged
+// under every strategy, the explorer and the ConAn driver.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "confail/events/trace.hpp"
@@ -40,29 +40,21 @@ using events::VarId;
 
 class Runtime : public sched::SnapshotSource {
  public:
-  enum class Mode { Real, Virtual };
-
-  /// Virtual-mode runtime: logical threads run under `sched`.  When
-  /// `metrics` is non-null, monitors constructed on this runtime register
-  /// per-monitor contention / wait / notify counters on it (the registry
-  /// must outlive the monitors; not owned).
+  /// Logical threads run under `sched`.  When `metrics` is non-null,
+  /// monitors constructed on this runtime register per-monitor contention /
+  /// wait / notify counters on it (the registry must outlive the monitors;
+  /// not owned).
   Runtime(events::Trace& trace, sched::VirtualScheduler& sched,
           std::uint64_t seed, obs::Registry* metrics = nullptr);
-
-  /// Real-mode runtime: threads are plain std::threads.
-  Runtime(events::Trace& trace, std::uint64_t seed,
-          obs::Registry* metrics = nullptr);
 
   ~Runtime() override;
 
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
 
-  /// Snapshot payload size (virtual mode): RNG + counters + method stacks.
+  /// Snapshot payload size: RNG + counters + method stacks + trace.
   std::size_t snapshotBytes() const override;
 
-  Mode mode() const { return mode_; }
-  bool isVirtual() const { return mode_ == Mode::Virtual; }
   events::Trace& trace() { return trace_; }
 
   /// The metrics registry passed at construction (null when
@@ -70,7 +62,7 @@ class Runtime : public sched::SnapshotSource {
   /// inject::ExploreConfig — see docs/injection.md ("Migration").
   obs::Registry* metrics() const { return metrics_; }
 
-  /// Attach a fault-injection hooks object (virtual mode; see
+  /// Attach a fault-injection hooks object (see
   /// confail/monitor/injection_hooks.hpp).  Monitors consult the current
   /// pointer at every operation, so this may be called any time before the
   /// run starts.  Null detaches; the hooks must outlive the monitors'
@@ -78,35 +70,23 @@ class Runtime : public sched::SnapshotSource {
   void setInjection(InjectionHooks* hooks) { injection_ = hooks; }
   InjectionHooks* injection() const { return injection_; }
 
-  /// The underlying scheduler.  UsageError in real mode.
-  sched::VirtualScheduler& scheduler();
+  /// The underlying scheduler.
+  sched::VirtualScheduler& scheduler() { return sched_; }
 
-  /// Spawn a logical thread.  In virtual mode the thread does not start
-  /// until VirtualScheduler::run(); in real mode it starts immediately.
+  /// Spawn a logical thread.  It does not start until
+  /// VirtualScheduler::run() (the scheduler's run owns thread lifetime).
   ThreadId spawn(std::string name, std::function<void()> fn);
 
-  /// Real mode: join all spawned threads.  Virtual mode: no-op (the
-  /// scheduler's run() owns thread lifetime).
-  void joinAll();
-
-  /// Java Thread.join: block the calling logical thread until `t`
-  /// finishes.  Virtual mode only (real mode joins all at once via
-  /// joinAll); throws UsageError otherwise.
+  /// Java Thread.join: block the calling logical thread until `t` finishes.
   void join(ThreadId t);
 
-  /// Logical id of the calling thread (kNoThread on an unregistered
-  /// controller thread in virtual mode; in real mode the caller is
-  /// auto-registered on first use so main() can drive components directly).
+  /// Logical id of the calling thread (kNoThread on the controller thread,
+  /// outside any logical thread).
   ThreadId currentThread();
 
-  /// A schedule point: in virtual mode, hands control to the strategy;
-  /// in real mode, optionally injects scheduling noise (see setNoise).
+  /// A schedule point: hands control to the strategy (a no-op outside a
+  /// logical thread).
   void schedulePoint();
-
-  /// Real-mode noise injection: at each schedule point, with probability p,
-  /// call std::this_thread::yield() to shake out interleavings (ConTest
-  /// style).  Ignored in virtual mode.
-  void setNoise(double probability) { noiseProb_ = probability; }
 
   // ---- id registration -----------------------------------------------------
   MonitorId registerMonitor(const std::string& name);
@@ -134,32 +114,29 @@ class Runtime : public sched::SnapshotSource {
   bool rngChance(double p);
 
  private:
-  // Snapshot protocol (virtual mode): policy-RNG stream, id counters, the
+  // Snapshot protocol: policy-RNG stream, id counters, the
   // per-thread method stacks, and the trace length (restore truncates the
   // trace back to the checkpointed prefix).  Saves run on the controller
   // thread with every logical thread suspended, so no locking is needed.
   std::shared_ptr<const void> saveState() const override;
   void restoreState(const std::shared_ptr<const void>& payload) override;
 
-  ThreadId allocateThread(const std::string& name);
-  /// Map an emitted event onto the current step's footprint (virtual mode).
+  /// Map an emitted event onto the current step's footprint.
   void noteFootprint(EventKind kind, MonitorId monitorId, std::uint64_t aux);
 
-  Mode mode_;
   events::Trace& trace_;
-  sched::VirtualScheduler* sched_ = nullptr;  // virtual mode only
-  obs::Registry* metrics_ = nullptr;          // optional, not owned
-  InjectionHooks* injection_ = nullptr;       // optional, not owned
+  sched::VirtualScheduler& sched_;
+  obs::Registry* metrics_ = nullptr;     // optional, not owned
+  InjectionHooks* injection_ = nullptr;  // optional, not owned
 
-  std::mutex mu_;  // guards everything below in real mode
+  // Guards everything below.  Every logical thread is a fiber on the OS
+  // thread that calls run(), so the lock is never contended.
+  std::mutex mu_;
   Xoshiro256 rng_;
   std::uint32_t nextMonitorId_ = 0;
   std::uint32_t nextVarId_ = 0;
   std::uint32_t nextMethodId_ = 0;
-  std::uint32_t nextThreadId_ = 0;                  // real mode
-  std::vector<std::thread> realThreads_;            // real mode
   std::vector<std::vector<MethodId>> methodStacks_; // indexed by ThreadId
-  double noiseProb_ = 0.0;
 };
 
 /// RAII marker for a component method: emits MethodEnter/MethodExit and

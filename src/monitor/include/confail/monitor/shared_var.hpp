@@ -3,15 +3,13 @@
 // Every access emits a Read/Write event carrying the variable id, which is
 // what the lockset (Eraser) and happens-before detectors consume to find
 // FF-T1 interference (data races).  A schedule point precedes each access,
-// so in virtual mode the explorer can interleave threads *between* the read
-// and the write of an unsynchronized read-modify-write — making lost
-// updates actually manifest, not just be flagged.
+// so the explorer can interleave threads *between* the read and the write
+// of an unsynchronized read-modify-write — making lost updates actually
+// manifest, not just be flagged.
 //
-// The underlying storage is guarded by a private mutex in real mode so that
-// an intentionally racy component (a mutant with synchronization removed)
-// exhibits the logical race — interference on the component state — without
-// committing C++ undefined behaviour on the raw memory.  The private mutex
-// is not a monitor and is invisible to the detectors.
+// The underlying storage is guarded by a private mutex, never contended
+// because one logical thread runs at a time.  It is not a monitor and is
+// invisible to the detectors.
 #pragma once
 
 #include <cstdint>
@@ -36,19 +34,15 @@ class SharedVar : public sched::SnapshotSource {
  public:
   SharedVar(Runtime& rt, const std::string& name, T init)
       : rt_(rt), id_(rt.registerVar(name)), value_(std::move(init)) {
-    if (rt_.isVirtual()) {
-      if constexpr (kSnapshottable) {
-        rt_.scheduler().addSnapshotSource(this);
-      } else {
-        rt_.scheduler().poisonSnapshotSafety();
-      }
+    if constexpr (kSnapshottable) {
+      rt_.scheduler().addSnapshotSource(this);
+    } else {
+      rt_.scheduler().poisonSnapshotSafety();
     }
   }
 
   ~SharedVar() override {
-    if constexpr (kSnapshottable) {
-      if (rt_.isVirtual()) rt_.scheduler().removeSnapshotSource(this);
-    }
+    if constexpr (kSnapshottable) rt_.scheduler().removeSnapshotSource(this);
   }
 
   SharedVar(const SharedVar&) = delete;

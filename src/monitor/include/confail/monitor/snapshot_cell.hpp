@@ -8,12 +8,11 @@
 // snapshots *all* mutable state, so such fields would silently leak across
 // a restore and corrupt sibling branches.
 //
-// SnapshotCell wraps the field: in virtual mode it registers with the
-// scheduler as a SnapshotSource and every mutable access (`mut()`) bumps
-// the copy-on-write version stamp.  It emits no events and takes no
-// schedule points — it is invisible to detectors and to the DPOR footprint,
-// exactly like the raw field it replaces (the owning monitor already orders
-// all accesses).
+// SnapshotCell wraps the field: it registers with the scheduler as a
+// SnapshotSource and every mutable access (`mut()`) bumps the copy-on-write
+// version stamp.  It emits no events and takes no schedule points — it is
+// invisible to detectors and to the DPOR footprint, exactly like the raw
+// field it replaces (the owning monitor already orders all accesses).
 //
 // T must be copy-constructible and copy-assignable; a non-copyable field
 // should call VirtualScheduler::poisonSnapshotSafety() instead (see
@@ -32,12 +31,10 @@ template <typename T>
 class SnapshotCell : public sched::SnapshotSource {
  public:
   SnapshotCell(Runtime& rt, T init) : rt_(rt), value_(std::move(init)) {
-    if (rt_.isVirtual()) rt_.scheduler().addSnapshotSource(this);
+    rt_.scheduler().addSnapshotSource(this);
   }
 
-  ~SnapshotCell() override {
-    if (rt_.isVirtual()) rt_.scheduler().removeSnapshotSource(this);
-  }
+  ~SnapshotCell() override { rt_.scheduler().removeSnapshotSource(this); }
 
   SnapshotCell(const SnapshotCell&) = delete;
   SnapshotCell& operator=(const SnapshotCell&) = delete;

@@ -5,24 +5,16 @@
 namespace confail::monitor {
 
 namespace {
-// Real-mode logical thread id of the current std::thread, per runtime.
-struct RealTls {
-  Runtime* rt = nullptr;
-  ThreadId id = events::kNoThread;
-};
-thread_local RealTls realTls;
-
-// Snapshot payload for Runtime (virtual mode).  The trace image is stored
-// by value, not as a length to truncate to: checkpoints are restored in
-// arbitrary order (a cache, not a stack), so after a sibling run rewound to
-// a shallower point and appended its own events, the trace's first k slots
-// no longer hold this checkpoint's prefix — only the captured content does.
+// Snapshot payload for Runtime.  The trace image is stored by value, not as
+// a length to truncate to: checkpoints are restored in arbitrary order (a
+// cache, not a stack), so after a sibling run rewound to a shallower point
+// and appended its own events, the trace's first k slots no longer hold
+// this checkpoint's prefix — only the captured content does.
 struct RuntimeSnap {
   Xoshiro256 rng;
   std::uint32_t nextMonitorId;
   std::uint32_t nextVarId;
   std::uint32_t nextMethodId;
-  std::uint32_t nextThreadId;
   std::vector<std::vector<MethodId>> methodStacks;
   std::vector<events::Event> traceImage;
 };
@@ -30,26 +22,16 @@ struct RuntimeSnap {
 
 Runtime::Runtime(events::Trace& trace, sched::VirtualScheduler& sched,
                  std::uint64_t seed, obs::Registry* metrics)
-    : mode_(Mode::Virtual), trace_(trace), sched_(&sched), metrics_(metrics),
-      rng_(seed) {
-  sched_->addSnapshotSource(this);
+    : trace_(trace), sched_(sched), metrics_(metrics), rng_(seed) {
+  sched_.addSnapshotSource(this);
 }
 
-Runtime::Runtime(events::Trace& trace, std::uint64_t seed,
-                 obs::Registry* metrics)
-    : mode_(Mode::Real), trace_(trace), metrics_(metrics), rng_(seed) {}
-
-Runtime::~Runtime() {
-  if (sched_ != nullptr) {
-    sched_->removeSnapshotSource(this);
-  }
-  joinAll();
-}
+Runtime::~Runtime() { sched_.removeSnapshotSource(this); }
 
 std::shared_ptr<const void> Runtime::saveState() const {
   return std::make_shared<RuntimeSnap>(RuntimeSnap{
-      rng_, nextMonitorId_, nextVarId_, nextMethodId_, nextThreadId_,
-      methodStacks_, trace_.events()});
+      rng_, nextMonitorId_, nextVarId_, nextMethodId_, methodStacks_,
+      trace_.events()});
 }
 
 void Runtime::restoreState(const std::shared_ptr<const void>& payload) {
@@ -58,7 +40,6 @@ void Runtime::restoreState(const std::shared_ptr<const void>& payload) {
   nextMonitorId_ = snap.nextMonitorId;
   nextVarId_ = snap.nextVarId;
   nextMethodId_ = snap.nextMethodId;
-  nextThreadId_ = snap.nextThreadId;
   methodStacks_ = snap.methodStacks;
   trace_.restore(snap.traceImage);
 }
@@ -77,10 +58,10 @@ void Runtime::noteFootprint(EventKind kind, MonitorId monitorId,
                             std::uint64_t aux) {
   switch (kind) {
     case EventKind::Read:
-      sched_->noteAccess(sched::fpTag('v', aux), /*isWrite=*/false);
+      sched_.noteAccess(sched::fpTag('v', aux), /*isWrite=*/false);
       break;
     case EventKind::Write:
-      sched_->noteAccess(sched::fpTag('v', aux), /*isWrite=*/true);
+      sched_.noteAccess(sched::fpTag('v', aux), /*isWrite=*/true);
       break;
     case EventKind::LockRequest:
     case EventKind::LockAcquire:
@@ -92,16 +73,16 @@ void Runtime::noteFootprint(EventKind kind, MonitorId monitorId,
     case EventKind::SpuriousWake:
       // Any monitor operation orders against every other operation on the
       // same monitor (entry queue and wait set are shared state).
-      sched_->noteAccess(sched::fpTag('m', monitorId), /*isWrite=*/true);
+      sched_.noteAccess(sched::fpTag('m', monitorId), /*isWrite=*/true);
       break;
     case EventKind::ThreadSpawn:
-      sched_->noteGlobalEffect();
+      sched_.noteGlobalEffect();
       break;
     case EventKind::ClockAwait:
     case EventKind::ClockTick:
       // Abstract-clock traffic interacts with idle-handler time advance;
       // treat conservatively.
-      sched_->noteGlobalEffect();
+      sched_.noteGlobalEffect();
       break;
     case EventKind::ThreadStart:
     case EventKind::ThreadEnd:
@@ -112,103 +93,34 @@ void Runtime::noteFootprint(EventKind kind, MonitorId monitorId,
   }
 }
 
-sched::VirtualScheduler& Runtime::scheduler() {
-  CONFAIL_CHECK(sched_ != nullptr, UsageError,
-                "scheduler() is only available in virtual mode");
-  return *sched_;
-}
-
-ThreadId Runtime::allocateThread(const std::string& name) {
-  // Called with mu_ held in real mode.
-  ThreadId id = nextThreadId_++;
-  if (methodStacks_.size() <= id) methodStacks_.resize(id + 1);
-  trace_.nameThread(id, name);
-  return id;
-}
-
 ThreadId Runtime::spawn(std::string name, std::function<void()> fn) {
-  if (mode_ == Mode::Virtual) {
-    ThreadId parent = sched_->currentThread();
-    // The scheduler allocates ids densely in spawn order, mirroring ours.
-    ThreadId id = sched_->spawn(name, [this, fn = std::move(fn)] {
-      emit(EventKind::ThreadStart, events::kNoMonitor, 0);
-      fn();
-      emit(EventKind::ThreadEnd, events::kNoMonitor, 0);
-    });
-    snapshotBump();
-    if (methodStacks_.size() <= id) methodStacks_.resize(id + 1);
-    trace_.nameThread(id, std::move(name));
-    if (parent != events::kNoThread) {
-      emitFor(parent, EventKind::ThreadSpawn, events::kNoMonitor, id);
-    }
-    return id;
-  }
-
-  ThreadId id;
-  ThreadId parent = currentThread();
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    id = allocateThread(name);
-  }
-  if (parent != events::kNoThread) {
-    emitFor(parent, EventKind::ThreadSpawn, events::kNoMonitor, id);
-  }
-  std::thread real([this, id, fn = std::move(fn)] {
-    realTls = RealTls{this, id};
+  ThreadId parent = sched_.currentThread();
+  // The scheduler allocates ids densely in spawn order, mirroring ours.
+  ThreadId id = sched_.spawn(name, [this, fn = std::move(fn)] {
     emit(EventKind::ThreadStart, events::kNoMonitor, 0);
     fn();
     emit(EventKind::ThreadEnd, events::kNoMonitor, 0);
-    realTls = RealTls{};
   });
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    realThreads_.push_back(std::move(real));
+  snapshotBump();
+  if (methodStacks_.size() <= id) methodStacks_.resize(id + 1);
+  trace_.nameThread(id, std::move(name));
+  if (parent != events::kNoThread) {
+    emitFor(parent, EventKind::ThreadSpawn, events::kNoMonitor, id);
   }
   return id;
 }
 
-void Runtime::joinAll() {
-  if (mode_ == Mode::Virtual) return;
-  std::vector<std::thread> pending;
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    pending.swap(realThreads_);
-  }
-  for (std::thread& t : pending) {
-    if (t.joinable()) t.join();
-  }
-}
+void Runtime::join(ThreadId t) { sched_.joinThread(t); }
 
-void Runtime::join(ThreadId t) {
-  CONFAIL_CHECK(mode_ == Mode::Virtual, UsageError,
-                "join(tid) is only available in virtual mode");
-  sched_->joinThread(t);
-}
-
-ThreadId Runtime::currentThread() {
-  if (mode_ == Mode::Virtual) return sched_->currentThread();
-  if (realTls.rt == this) return realTls.id;
-  // Auto-register the calling (e.g. main) thread so examples can invoke
-  // component methods directly in real mode.
-  std::lock_guard<std::mutex> g(mu_);
-  ThreadId id = allocateThread("caller-" + std::to_string(nextThreadId_));
-  realTls = RealTls{this, id};
-  return id;
-}
+ThreadId Runtime::currentThread() { return sched_.currentThread(); }
 
 void Runtime::schedulePoint() {
-  if (mode_ == Mode::Virtual) {
-    if (sched_->onLogicalThread()) sched_->yield();
-    return;
-  }
-  if (noiseProb_ > 0.0 && rngChance(noiseProb_)) {
-    std::this_thread::yield();
-  }
+  if (sched_.onLogicalThread()) sched_.yield();
 }
 
 MonitorId Runtime::registerMonitor(const std::string& name) {
   std::lock_guard<std::mutex> g(mu_);
-  if (mode_ == Mode::Virtual) snapshotBump();
+  snapshotBump();
   MonitorId id = nextMonitorId_++;
   trace_.nameMonitor(id, name);
   return id;
@@ -216,7 +128,7 @@ MonitorId Runtime::registerMonitor(const std::string& name) {
 
 VarId Runtime::registerVar(const std::string& name) {
   std::lock_guard<std::mutex> g(mu_);
-  if (mode_ == Mode::Virtual) snapshotBump();
+  snapshotBump();
   VarId id = nextVarId_++;
   trace_.nameVar(id, name);
   return id;
@@ -224,7 +136,7 @@ VarId Runtime::registerVar(const std::string& name) {
 
 MethodId Runtime::registerMethod(const std::string& name) {
   std::lock_guard<std::mutex> g(mu_);
-  if (mode_ == Mode::Virtual) snapshotBump();
+  snapshotBump();
   MethodId id = nextMethodId_++;
   trace_.nameMethod(id, name);
   return id;
@@ -238,10 +150,8 @@ std::uint64_t Runtime::emit(EventKind kind, MonitorId monitorId,
 std::uint64_t Runtime::emitFor(ThreadId thread, EventKind kind,
                                MonitorId monitorId, std::uint64_t aux,
                                bool flag) {
-  if (mode_ == Mode::Virtual) {
-    noteFootprint(kind, monitorId, aux);
-    snapshotBump();  // the trace content is snapshotted state
-  }
+  noteFootprint(kind, monitorId, aux);
+  snapshotBump();  // the trace content is snapshotted state
   events::Event e;
   e.thread = thread;
   e.kind = kind;
@@ -256,7 +166,7 @@ void Runtime::pushMethod(MethodId m) {
   ThreadId t = currentThread();
   std::lock_guard<std::mutex> g(mu_);
   CONFAIL_ASSERT(t < methodStacks_.size(), "method push on unknown thread");
-  if (mode_ == Mode::Virtual) snapshotBump();
+  snapshotBump();
   methodStacks_[t].push_back(m);
 }
 
@@ -265,7 +175,7 @@ void Runtime::popMethod() {
   std::lock_guard<std::mutex> g(mu_);
   CONFAIL_ASSERT(t < methodStacks_.size() && !methodStacks_[t].empty(),
                  "method pop without push");
-  if (mode_ == Mode::Virtual) snapshotBump();
+  snapshotBump();
   methodStacks_[t].pop_back();
 }
 
@@ -281,19 +191,15 @@ MethodId Runtime::currentMethodOf(ThreadId t) {
 std::uint64_t Runtime::rngBelow(std::uint64_t bound) {
   // Consuming a policy draw advances shared state: steps that both draw
   // from the RNG do not commute (the stream order is the state).
-  if (mode_ == Mode::Virtual) {
-    sched_->noteAccess(sched::fpTag('r', 0), /*isWrite=*/true);
-    snapshotBump();
-  }
+  sched_.noteAccess(sched::fpTag('r', 0), /*isWrite=*/true);
+  snapshotBump();
   std::lock_guard<std::mutex> g(mu_);
   return rng_.below(bound);
 }
 
 bool Runtime::rngChance(double p) {
-  if (mode_ == Mode::Virtual) {
-    sched_->noteAccess(sched::fpTag('r', 0), /*isWrite=*/true);
-    snapshotBump();
-  }
+  sched_.noteAccess(sched::fpTag('r', 0), /*isWrite=*/true);
+  snapshotBump();
   std::lock_guard<std::mutex> g(mu_);
   return rng_.chance(p);
 }

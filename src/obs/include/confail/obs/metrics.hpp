@@ -2,8 +2,8 @@
 // histograms behind a name-keyed registry.
 //
 // Design constraints, in order:
-//   1. Recording must be cheap and thread-safe — the explorer's workers and
-//      real-mode component threads all hit these counters on hot paths.
+//   1. Recording must be cheap and thread-safe — the explorer's workers
+//      (one OS thread each) all hit these counters on hot paths.
 //      Every increment is a single relaxed fetch_add on a per-thread shard
 //      (a cache-line-padded slot selected by a thread-local stripe index),
 //      so concurrent writers never contend on a line.  There is no

@@ -47,9 +47,9 @@ inline std::uint64_t nextSnapshotVersion() noexcept {
 /// opaque immutable payload) and call snapshotBump() from every mutating
 /// operation; the base class supplies the copy-on-write caching on top.
 ///
-/// Virtual-mode monitors, shared variables, the Runtime and the Injector
-/// register themselves via
-/// VirtualScheduler::addSnapshotSource and unregister in their destructors.
+/// Monitors, shared variables, the Runtime and the Injector register
+/// themselves via VirtualScheduler::addSnapshotSource and unregister in
+/// their destructors.
 class SnapshotSource {
  public:
   virtual ~SnapshotSource() = default;

@@ -108,6 +108,11 @@ struct RunResult {
   bool ok() const { return outcome == Outcome::Completed; }
 };
 
+/// Hash of the blocked set of a deadlocked run: which threads are stuck,
+/// why, and on what.  Two runs deadlocking in the same state (possibly via
+/// different schedules) have equal signatures.
+std::uint64_t deadlockSignature(const RunResult& r);
+
 /// Consulted by the controller when no thread is runnable, before declaring
 /// deadlock.  The abstract clock registers one of these to auto-advance
 /// logical time (discrete-event style).  Returns true if it made at least
@@ -217,7 +222,7 @@ class VirtualScheduler {
 
   /// Register an object whose mutable state must survive checkpoint /
   /// restore (see snapshot.hpp).  Monitors, SharedVars, the Runtime and
-  /// the Injector register themselves in virtual mode.
+  /// the Injector register themselves.
   void addSnapshotSource(SnapshotSource* s);
 
   /// Unregister a snapshot source (called from its destructor).

@@ -204,6 +204,16 @@ const char* outcomeName(Outcome o) {
   return "?";
 }
 
+std::uint64_t deadlockSignature(const RunResult& r) {
+  std::uint64_t h = kFpSeed;
+  for (const BlockedThreadInfo& b : r.blocked) {
+    h = fpMix(h, (static_cast<std::uint64_t>(b.id) << 32) ^
+                     static_cast<std::uint64_t>(b.kind));
+    h = fpMix(h, b.resource);
+  }
+  return h;
+}
+
 VirtualScheduler::VirtualScheduler(Strategy& strategy, Options opts)
     : strategy_(strategy),
       opts_(std::move(opts)),

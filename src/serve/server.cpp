@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -52,7 +53,9 @@ struct Server::Impl {
   struct JobRun {
     JobSpec spec;
     std::vector<ShardSpec> shards;
-    std::vector<bool> done;
+    /// Parsed result of each shard whose file has landed (parsed once, at
+    /// landing or at resume, and merged from here).
+    std::vector<std::optional<ShardResult>> landed;
     std::vector<int> attempts;
     std::deque<std::size_t> pending;
     std::size_t inFlight = 0;
@@ -112,10 +115,15 @@ struct Server::Impl {
     }
     // Resume criterion: a shard whose result file exists and parses was
     // completed by an earlier daemon run and is never re-executed.
-    jr.done = store.completedShards(id, jr.shards.size());
+    jr.landed.resize(jr.shards.size());
     jr.attempts.assign(jr.shards.size(), 0);
     for (std::size_t i = 0; i < jr.shards.size(); ++i) {
-      if (!jr.done[i]) jr.pending.push_back(i);
+      ShardResult r;
+      if (store.readShard(id, i, r)) {
+        jr.landed[i] = std::move(r);
+      } else {
+        jr.pending.push_back(i);
+      }
     }
     publishState(id, jr, "running");
     jobsAdopted->inc();
@@ -131,7 +139,9 @@ struct Server::Impl {
     st.status = status;
     st.shardsTotal = jr.shards.size();
     std::uint64_t done = 0;
-    for (bool d : jr.done) done += d ? 1 : 0;
+    for (const std::optional<ShardResult>& r : jr.landed) {
+      done += r.has_value() ? 1 : 0;
+    }
     st.shardsDone = done;
     st.shardsFailed = jr.failed;
     st.findings = findings;
@@ -254,9 +264,8 @@ struct Server::Impl {
                    bool workerOk) {
     --jr.inFlight;
     ShardResult r;
-    const bool landed = workerOk && store.readShard(id, index, r);
-    if (landed) {
-      jr.done[index] = true;
+    if (workerOk && store.readShard(id, index, r)) {
+      jr.landed[index] = std::move(r);
       shardsCompleted->inc();
       publishState(id, jr, "running");
       return;
@@ -303,39 +312,29 @@ struct Server::Impl {
         jobsFailed->inc();
         anyFailed = true;
       } else {
+        // No shard pending, in flight or failed: every shard has landed.
         std::vector<ShardResult> results;
-        results.reserve(jr.shards.size());
-        bool readable = true;
-        for (std::size_t i = 0; i < jr.shards.size(); ++i) {
-          ShardResult r;
-          if (!store.readShard(id, i, r)) {
-            readable = false;
-            break;
-          }
-          results.push_back(std::move(r));
+        results.reserve(jr.landed.size());
+        for (std::optional<ShardResult>& r : jr.landed) {
+          CONFAIL_ASSERT(r.has_value(), "merging a job with an unlanded shard");
+          results.push_back(std::move(*r));
         }
-        if (!readable) {
-          publishState(id, jr, "failed");
-          jobsFailed->inc();
-          anyFailed = true;
-        } else {
-          // Derived from the landed shards alone, in shard order, so it is
-          // byte-stable across crashes, resumes and pool sizes.
-          std::vector<std::string_view> events;
-          for (const ShardResult& r : results) events.push_back(r.eventsJsonl);
-          (void)CampaignStore::writeFileAtomic(store.eventsPath(id), events);
-          const MergedReports merged =
-              mergeShards(jr.spec, id, std::move(results));
-          (void)CampaignStore::writeFileAtomic(store.findingsPath(id),
-                                               merged.findingsJson + "\n");
-          (void)CampaignStore::writeFileAtomic(store.sarifPath(id),
-                                               merged.sarif + "\n");
-          (void)CampaignStore::writeFileAtomic(store.matrixPath(id),
-                                               merged.matrixJson + "\n");
-          publishState(id, jr, "completed", merged.uniqueFindings);
-          jobsCompleted->inc();
-          ++mergedJobs;
-        }
+        // Derived from the landed shards alone, in shard order, so it is
+        // byte-stable across crashes, resumes and pool sizes.
+        std::vector<std::string_view> events;
+        for (const ShardResult& r : results) events.push_back(r.eventsJsonl);
+        (void)CampaignStore::writeFileAtomic(store.eventsPath(id), events);
+        const MergedReports merged =
+            mergeShards(jr.spec, id, std::move(results));
+        (void)CampaignStore::writeFileAtomic(store.findingsPath(id),
+                                             merged.findingsJson + "\n");
+        (void)CampaignStore::writeFileAtomic(store.sarifPath(id),
+                                             merged.sarif + "\n");
+        (void)CampaignStore::writeFileAtomic(store.matrixPath(id),
+                                             merged.matrixJson + "\n");
+        publishState(id, jr, "completed", merged.uniqueFindings);
+        jobsCompleted->inc();
+        ++mergedJobs;
       }
       it = jobs.erase(it);
     }

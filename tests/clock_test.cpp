@@ -1,5 +1,5 @@
-// Unit tests for the ConAn abstract clock in both execution modes:
-// await/tick/time semantics, auto-advance idle handling, event emission.
+// Unit tests for the ConAn abstract clock: await/tick/time semantics,
+// auto-advance idle handling, event emission.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -136,21 +136,4 @@ TEST(AbstractClock, InterleavesWithMonitorBlocking) {
   ASSERT_EQ(sequence.size(), 2u);
   EXPECT_EQ(sequence[0], "notify@3");
   EXPECT_EQ(sequence[1], "woken@3");
-}
-
-TEST(AbstractClockReal, TickAndAwait) {
-  ev::Trace trace;
-  Runtime rt(trace, 1);
-  AbstractClock clk(rt);
-  std::uint64_t seen = 0;
-  rt.spawn("sleeper", [&] {
-    clk.await(3);
-    seen = clk.time();
-  });
-  rt.spawn("ticker", [&] {
-    for (int i = 0; i < 3; ++i) clk.tick();
-  });
-  rt.joinAll();
-  EXPECT_GE(seen, 3u);
-  EXPECT_EQ(clk.time(), 3u);
 }

@@ -162,40 +162,3 @@ TEST(TestDriver, MultipleThreadsInterleaveByTicks) {
   EXPECT_EQ(res.run.outcome, Outcome::Completed);
   EXPECT_EQ(log, (std::vector<std::string>{"a1", "b2", "a3", "b4"}));
 }
-
-TEST(TestDriver, RealModeRunsToCompletion) {
-  ev::Trace trace;
-  Runtime rt(trace, 2);
-  AbstractClock clk(rt);
-  TestDriver driver(rt, clk);
-  ProducerConsumer pc(rt);
-  driver.addVoid("producer", 1, "send(hi)", [&pc] { pc.send("hi"); });
-  Call r;
-  r.thread = "consumer";
-  r.startTick = 2;
-  r.label = "receive()";
-  r.action = [&pc]() -> std::int64_t { return pc.receive(); };
-  r.expectedValue = 'h';
-  driver.add(r);
-  Call r2 = r;
-  r2.startTick = 3;
-  r2.expectedValue = 'i';
-  driver.add(r2);
-  Results res = driver.execute();
-  EXPECT_TRUE(res.allPassed()) << res.describe();
-}
-
-TEST(TestDriver, RealModeRejectsExpectHang) {
-  ev::Trace trace;
-  Runtime rt(trace, 2);
-  AbstractClock clk(rt);
-  TestDriver driver(rt, clk);
-  Call c;
-  c.thread = "t";
-  c.startTick = 1;
-  c.label = "x";
-  c.action = [] { return std::int64_t{0}; };
-  c.expectHang = true;
-  driver.add(c);
-  EXPECT_THROW(driver.execute(), confail::UsageError);
-}

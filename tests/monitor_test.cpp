@@ -1,6 +1,6 @@
 // Unit tests for the Java-monitor substrate: mutual exclusion, reentrancy,
 // wait/notify/notifyAll semantics, illegal-state errors, event emission
-// (Figure-1 transitions), wake policies, spurious wakeups, and real mode.
+// (Figure-1 transitions), wake policies and spurious wakeups.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -405,127 +405,6 @@ TEST(SharedVar, LostUpdateManifestsUnderAdversarialSchedule) {
   });
   EXPECT_TRUE(stats.exhausted);
   EXPECT_TRUE(lostUpdateSeen) << "no schedule lost an update";
-}
-
-TEST(MonitorReal, BasicMutualExclusionAndWaitNotify) {
-  ev::Trace trace;
-  Runtime rt(trace, /*seed=*/3);
-  Monitor m(rt, "m");
-  int shared = 0;
-  bool ready = false;
-  rt.spawn("producer", [&] {
-    Synchronized sync(m);
-    shared = 99;
-    ready = true;
-    m.notifyAll();
-  });
-  rt.spawn("consumer", [&] {
-    Synchronized sync(m);
-    while (!ready) m.wait();
-    EXPECT_EQ(shared, 99);
-  });
-  rt.joinAll();
-  EXPECT_GE(trace.size(), 6u);
-}
-
-TEST(MonitorReal, ContendedCounterStaysConsistent) {
-  ev::Trace trace;
-  Runtime rt(trace, /*seed=*/4);
-  Monitor m(rt, "m");
-  int counter = 0;
-  for (int t = 0; t < 4; ++t) {
-    rt.spawn(confail::numbered("t", t), [&] {
-      for (int i = 0; i < 500; ++i) {
-        Synchronized sync(m);
-        ++counter;
-      }
-    });
-  }
-  rt.joinAll();
-  EXPECT_EQ(counter, 2000);
-}
-
-TEST(MonitorReal, Reentrancy) {
-  ev::Trace trace;
-  Runtime rt(trace, /*seed=*/5);
-  Monitor m(rt, "m");
-  rt.spawn("t", [&] {
-    m.lock();
-    m.lock();
-    EXPECT_EQ(m.depth(), 2u);
-    m.unlock();
-    m.unlock();
-    EXPECT_EQ(m.depth(), 0u);
-  });
-  rt.joinAll();
-}
-
-TEST(MonitorReal, PingPongRegressionNoStolenSignals) {
-  // Regression: the real-mode wait set once used counting semantics, which
-  // let a thread that started waiting after a notify consume it — producer
-  // and consumer both asleep (lost-wakeup deadlock) within a few hundred
-  // messages of ping-pong.  The ticket-based wait set must sustain this
-  // indefinitely.
-  ev::Trace trace;
-  Runtime rt(trace, 7);
-  Monitor m(rt, "pingpong");
-  int turn = 0;
-  const int rounds = 3000;
-  rt.spawn("even", [&] {
-    for (int i = 0; i < rounds; ++i) {
-      Synchronized sync(m);
-      while (turn % 2 != 0) m.wait();
-      ++turn;
-      m.notifyAll();
-    }
-  });
-  rt.spawn("odd", [&] {
-    for (int i = 0; i < rounds; ++i) {
-      Synchronized sync(m);
-      while (turn % 2 != 1) m.wait();
-      ++turn;
-      m.notifyAll();
-    }
-  });
-  rt.joinAll();
-  EXPECT_EQ(turn, 2 * rounds);
-}
-
-TEST(MonitorReal, NotifyOneUnderChurnWakesCorrectWaiters) {
-  // Mixed notify-one traffic with late-arriving waiters: every waiter whose
-  // condition was made true must eventually proceed.
-  ev::Trace trace;
-  Runtime rt(trace, 8);
-  Monitor m(rt, "churn");
-  int tokens = 0;
-  int consumed = 0;
-  const int total = 500;
-  for (int c = 0; c < 3; ++c) {
-    rt.spawn("consumer" + std::to_string(c), [&] {
-      for (int i = 0; i < total / 1; ++i) {
-        Synchronized sync(m);
-        while (tokens == 0) {
-          if (consumed >= total) return;
-          m.wait();
-        }
-        --tokens;
-        ++consumed;
-      }
-    });
-  }
-  rt.spawn("producer", [&] {
-    for (int i = 0; i < total; ++i) {
-      Synchronized sync(m);
-      ++tokens;
-      m.notifyOne();
-    }
-    // Release any consumers still parked after the last token.
-    Synchronized sync(m);
-    m.notifyAll();
-  });
-  rt.joinAll();
-  EXPECT_EQ(consumed, total);
-  EXPECT_EQ(tokens, 0);
 }
 
 TEST(Monitor, DeadlockTeardownWithLocksHeldIsClean) {

@@ -1,17 +1,13 @@
 // Tests for the Runtime bridge itself: id registration, method-scope
-// stacks and event attribution, spawn bookkeeping in both modes, the
-// noise hook, join semantics, and mode-restriction errors.
+// stacks and event attribution, spawn bookkeeping, join semantics and the
+// seeded policy RNG.
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
 
 #include "confail/events/trace.hpp"
-#include "confail/monitor/monitor.hpp"
 #include "confail/monitor/runtime.hpp"
-#include "confail/monitor/shared_var.hpp"
 #include "confail/sched/virtual_scheduler.hpp"
-#include "confail/support/text.hpp"
 
 namespace ev = confail::events;
 namespace sched = confail::sched;
@@ -99,59 +95,6 @@ TEST(Runtime, JoinOrdersParentAfterChild) {
   });
   ASSERT_TRUE(h.sched.run().ok());
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(Runtime, JoinRejectedInRealMode) {
-  ev::Trace trace;
-  Runtime rt(trace, 1);
-  EXPECT_THROW(rt.join(0), confail::UsageError);
-}
-
-TEST(Runtime, SchedulerAccessorRejectedInRealMode) {
-  ev::Trace trace;
-  Runtime rt(trace, 1);
-  EXPECT_THROW(rt.scheduler(), confail::UsageError);
-}
-
-TEST(Runtime, RealModeAutoRegistersCallingThread) {
-  ev::Trace trace;
-  Runtime rt(trace, 1);
-  ev::ThreadId me = rt.currentThread();
-  EXPECT_NE(me, ev::kNoThread);
-  EXPECT_EQ(rt.currentThread(), me);  // stable on repeat
-}
-
-TEST(Runtime, RealModeSpawnAssignsDistinctIds) {
-  ev::Trace trace;
-  Runtime rt(trace, 1);
-  std::mutex mu;
-  std::set<ev::ThreadId> ids;
-  for (int i = 0; i < 4; ++i) {
-    rt.spawn(confail::numbered("t", i), [&] {
-      std::lock_guard<std::mutex> g(mu);
-      ids.insert(rt.currentThread());
-    });
-  }
-  rt.joinAll();
-  EXPECT_EQ(ids.size(), 4u);
-}
-
-TEST(Runtime, NoiseHookDoesNotAffectCorrectness) {
-  ev::Trace trace;
-  Runtime rt(trace, 5);
-  rt.setNoise(0.5);  // real mode: random std::this_thread::yield at points
-  confail::monitor::Monitor m(rt, "m");
-  int counter = 0;
-  for (int t = 0; t < 4; ++t) {
-    rt.spawn(confail::numbered("t", t), [&] {
-      for (int i = 0; i < 200; ++i) {
-        confail::monitor::Synchronized sync(m);
-        ++counter;
-      }
-    });
-  }
-  rt.joinAll();
-  EXPECT_EQ(counter, 800);
 }
 
 TEST(Runtime, DeterministicPolicyRngPerSeed) {

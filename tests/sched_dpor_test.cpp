@@ -26,7 +26,6 @@
 
 #include "confail/components/scenario_registry.hpp"
 #include "confail/sched/explorer.hpp"
-#include "confail/sched/fingerprint.hpp"
 
 namespace sched = confail::sched;
 namespace scenarios = confail::components::scenarios;
@@ -34,18 +33,6 @@ namespace scenarios = confail::components::scenarios;
 namespace {
 
 using Reduction = sched::ExhaustiveExplorer::Reduction;
-
-/// Hash of the blocked set of a deadlocked run — two runs deadlocking in
-/// the same state (via different schedules) have equal signatures.
-std::uint64_t deadlockSignature(const sched::RunResult& r) {
-  std::uint64_t h = sched::kFpSeed;
-  for (const sched::BlockedThreadInfo& b : r.blocked) {
-    h = sched::fpMix(h, (static_cast<std::uint64_t>(b.id) << 32) ^
-                            static_cast<std::uint64_t>(b.kind));
-    h = sched::fpMix(h, b.resource);
-  }
-  return h;
-}
 
 /// Re-execute a recorded schedule with state capture and return the run.
 sched::RunResult replay(const scenarios::NamedScenario& sc,
@@ -82,7 +69,7 @@ Exploration explore(const scenarios::NamedScenario& sc, Reduction reduction,
       sc.fn, [&](const std::vector<sched::ThreadId>& schedule,
                  const sched::RunResult& r) {
         if (r.outcome == sched::Outcome::Deadlock) {
-          out.deadlockSigs.insert(deadlockSignature(r));
+          out.deadlockSigs.insert(sched::deadlockSignature(r));
         }
         if (canonicalizeFailures && r.outcome != sched::Outcome::Completed) {
           // The callback's RunResult has no footprints under

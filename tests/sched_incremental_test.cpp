@@ -28,7 +28,6 @@
 #include "confail/inject/campaign.hpp"
 #include "confail/inject/explore_config.hpp"
 #include "confail/sched/explorer.hpp"
-#include "confail/sched/fingerprint.hpp"
 #include "confail/sched/virtual_scheduler.hpp"
 
 namespace sched = confail::sched;
@@ -38,16 +37,6 @@ namespace inject = confail::inject;
 namespace {
 
 using Reduction = sched::ExhaustiveExplorer::Reduction;
-
-std::uint64_t deadlockSignature(const sched::RunResult& r) {
-  std::uint64_t h = sched::kFpSeed;
-  for (const sched::BlockedThreadInfo& b : r.blocked) {
-    h = sched::fpMix(h, (static_cast<std::uint64_t>(b.id) << 32) ^
-                            static_cast<std::uint64_t>(b.kind));
-    h = sched::fpMix(h, b.resource);
-  }
-  return h;
-}
 
 struct Exploration {
   sched::ExhaustiveExplorer::Stats stats;
@@ -74,7 +63,7 @@ Exploration explore(const scenarios::NamedScenario& sc, Reduction reduction,
                  const sched::RunResult& r) {
         out.schedules.insert(schedule);
         if (r.outcome == sched::Outcome::Deadlock) {
-          out.deadlockSigs.insert(deadlockSignature(r));
+          out.deadlockSigs.insert(sched::deadlockSignature(r));
         }
         return true;
       });

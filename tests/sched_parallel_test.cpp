@@ -25,19 +25,6 @@ const sched::ExhaustiveExplorer::Program& scenario(const char* name) {
   return scenarios::find(name)->fn;
 }
 
-/// Hash of the blocked set of a deadlocked run: which threads are stuck,
-/// why, and on what.  Two runs deadlocking in the same state (possibly via
-/// different schedules) have equal signatures.
-std::uint64_t deadlockSignature(const sched::RunResult& r) {
-  std::uint64_t h = sched::kFpSeed;
-  for (const sched::BlockedThreadInfo& b : r.blocked) {
-    h = sched::fpMix(h, (static_cast<std::uint64_t>(b.id) << 32) ^
-                            static_cast<std::uint64_t>(b.kind));
-    h = sched::fpMix(h, b.resource);
-  }
-  return h;
-}
-
 struct Exploration {
   sched::ExhaustiveExplorer::Stats stats;
   std::set<std::uint64_t> deadlockSigs;
@@ -51,7 +38,7 @@ Exploration explore(const char* name, sched::ExhaustiveExplorer::Options eo) {
       scenario(name), [&out](const std::vector<sched::ThreadId>&,
                              const sched::RunResult& r) {
         if (r.outcome == sched::Outcome::Deadlock) {
-          out.deadlockSigs.insert(deadlockSignature(r));
+          out.deadlockSigs.insert(sched::deadlockSignature(r));
         }
         return true;
       });

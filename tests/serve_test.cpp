@@ -383,8 +383,9 @@ TEST(Server, CrashResumeRerunsOnlyMissingShards) {
 
 TEST(Server, ResumeRunsOnlyShardsWithoutALandedFile) {
   // The resume criterion without a kill: shards landed by hand (the same
-  // runShard + writeShard a worker performs) are never executed again, and
-  // a stray temp file from an interrupted write does not count as landed.
+  // runShard + writeShard a worker performs) are never executed again,
+  // while neither a stray temp file from an interrupted write nor a final
+  // shard file whose content does not parse counts as landed.
   TempRoot root;
   inject::JobSpec spec = smallSpec();
   spec.scenarios = {"fig2", "lock_order"};
@@ -410,6 +411,11 @@ TEST(Server, ResumeRunsOnlyShardsWithoutALandedFile) {
   }
   const std::string stray = store.shardPath(id, 1) + ".tmp.99999";
   ASSERT_TRUE(serve::CampaignStore::writeFileAtomic(stray, "{ \"schema\":"));
+  const std::string whole = serve::CampaignStore::shardToJson(
+      inject::runShard(adopted, shards[1], ro));
+  const std::string truncated = whole.substr(0, whole.size() / 2);
+  ASSERT_TRUE(serve::CampaignStore::writeFileAtomic(store.shardPath(id, 1),
+                                                    truncated));
   ASSERT_EQ(countTrue(store.completedShards(id, shards.size())),
             preLanded.size());
 
@@ -418,6 +424,8 @@ TEST(Server, ResumeRunsOnlyShardsWithoutALandedFile) {
   for (std::size_t k = 0; k < preLanded.size(); ++k) {
     EXPECT_EQ(slurp(store.shardPath(id, preLanded[k])), before[k]);
   }
+  inject::ShardResult rerun;
+  EXPECT_TRUE(store.readShard(id, 1, rerun));  // re-run over the torn file
   serve::JobState st;
   ASSERT_TRUE(serve::jobStatus(root.str(), id, st));
   EXPECT_EQ(st.status, "completed");
