@@ -21,8 +21,8 @@
 // merge — the determinism contract that makes crash-resume exact.
 //
 // `--smoke` shrinks the per-cell run budget so the binary finishes in a
-// few seconds; the bench_smoke target runs that mode and commits the
-// resulting BENCH_serve.json.
+// few seconds; the bench_smoke target runs that mode and leaves its
+// BENCH_serve.json in the build tree.
 #include <unistd.h>
 
 #include <chrono>

@@ -16,8 +16,8 @@
 //      measures nothing.
 //
 // `--smoke` shrinks both blocks so the binary finishes in a couple of
-// seconds; the bench_smoke ctest entry runs that mode and the committed
-// BENCH_fuzz.json comes from the same invocation.
+// seconds; the bench_smoke target runs that mode and leaves its
+// BENCH_fuzz.json in the build tree.
 #include <chrono>
 #include <cstdio>
 #include <cstring>

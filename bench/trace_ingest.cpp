@@ -17,8 +17,8 @@
 //      steady-state drop count must be zero (default backpressure mode).
 //
 // `--smoke` shrinks the event counts so the binary finishes in a couple of
-// seconds; the bench_smoke ctest entry runs that mode and the committed
-// BENCH_ingest.json comes from the same invocation.  The 1M events/sec
+// seconds; the bench_smoke target runs that mode and leaves its
+// BENCH_ingest.json in the build tree.  The 1M events/sec
 // gate is skipped under ThreadSanitizer (the ~70x interception cost is
 // TSan's, not the ring's).
 #include <chrono>

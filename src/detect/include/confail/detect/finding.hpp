@@ -1,6 +1,6 @@
 // Findings: the common output type of all dynamic-analysis detectors.
 //
-// Each detector implements one of the detection techniques named in the
+// Each StreamCore implements one of the detection techniques named in the
 // "Testing Notes" column of the paper's Table 1; the taxonomy::Classifier
 // then maps finding kinds onto the paper's ten failure classes
 // (FF-T1 ... EF-T5).
@@ -91,8 +91,8 @@ class TraceNames final : public NameSource {
 /// requests, whole-run structural critiques) and must be called exactly
 /// once, after the last feed().
 ///
-/// The offline Detector::analyze implementations drive these same cores
-/// over trace.events(), so an online analysis that feeds a recorded run's
+/// Offline analysis drives these same cores over trace.events()
+/// (analyzeWithCore), so an online analysis that feeds a recorded run's
 /// event stream through a core produces a byte-identical finding vector —
 /// the differential contract the streaming ingest pipeline is tested
 /// against.
@@ -100,27 +100,13 @@ class StreamCore {
  public:
   virtual ~StreamCore() = default;
   virtual const char* name() const = 0;
-  virtual std::vector<FindingKind> detectableKinds() const = 0;
   virtual void feed(const events::Event& e, std::vector<Finding>& out) = 0;
   virtual void finish(const NameSource& names, std::vector<Finding>& out) = 0;
 };
 
-/// Uniform detector interface: analyze a completed trace.
-class Detector {
- public:
-  virtual ~Detector() = default;
-  virtual const char* name() const = 0;
-  virtual std::vector<Finding> analyze(const events::Trace& trace) = 0;
-
-  /// The finding kinds this detector can produce.  Combined with
-  /// taxonomy::Classifier::classesOf, this is the per-detector
-  /// expected-class mapping the injection campaign's detection matrix is
-  /// checked against (a class a detector *could* indicate but did not).
-  virtual std::vector<FindingKind> detectableKinds() const = 0;
-};
-
 /// Drive a core over a completed trace: feed every event, then finish.
-/// The shared body of every Detector::analyze.
+/// The offline form of every analysis; a core is single-use, so build a
+/// fresh one per trace.
 std::vector<Finding> analyzeWithCore(StreamCore& core,
                                      const events::Trace& trace);
 

@@ -1,7 +1,8 @@
 // ReportSink: the single funnel every finding-producing path reports into.
 //
-// The offline DetectorSuite (trace detect, the injection campaign) and the
-// streaming ingest pipeline all append attributed findings here; the sink
+// Both forms of the one detector battery (suite.hpp) append attributed
+// findings here — DetectorSuite offline (trace detect, the injection
+// campaign) and StreamingSuite online (the ingest pipeline); the sink
 // renders them as
 //
 //   * confail.findings.v1 — the project's own machine-readable JSON

@@ -1,11 +1,11 @@
 // StreamingSuite: the full Table 1 detector battery in incremental form.
 //
-// Owns one StreamCore per detector (same construction options and battery
-// order as DetectorSuite) and advances all of them one event at a time.
-// Findings are buffered per core and flattened in battery order at
-// finish(), so a stream carrying the events of a recorded trace yields a
-// finding vector byte-identical to DetectorSuite::analyze on that trace —
-// the differential contract the ingest tests pin down.
+// Owns one battery of cores (makeBattery in suite.hpp: the same roster,
+// order and options as DetectorSuite) and advances all of them one event
+// at a time.  Findings are buffered per core and flattened in battery
+// order at finish(), so a stream carrying the events of a recorded trace
+// yields a finding vector byte-identical to DetectorSuite::analyze on that
+// trace — the differential contract the ingest tests pin down.
 //
 // Live consumers (confail ingest --follow) can register an onFinding
 // callback to observe findings the moment a core emits them, without
@@ -17,11 +17,7 @@
 #include <memory>
 #include <vector>
 
-#include "confail/detect/finding.hpp"
-
-namespace confail::obs {
-class Registry;
-}
+#include "confail/detect/suite.hpp"
 
 namespace confail::detect {
 
@@ -29,21 +25,8 @@ class HbCore;
 
 class StreamingSuite {
  public:
-  struct Options {
-    /// Grants-while-pending threshold for the starvation core.
-    std::uint64_t starvationGrantThreshold = 50;
-    /// Skip the unnecessary-sync core (it flags single-threaded use,
-    /// which is expected in some micro-tests).
-    bool includeUnnecessarySync = true;
-    /// Flag non-FIFO lock grants (protocol-deviation EF-T2 oracle).
-    bool flagBarging = false;
-    /// Bound on the happens-before core's per-variable history; 0 keeps
-    /// every variable (exact, unbounded memory).  See HbCore::Options.
-    std::size_t hbMaxVarHistory = 0;
-  };
-
-  StreamingSuite() : StreamingSuite(Options()) {}
-  explicit StreamingSuite(Options opts);
+  StreamingSuite() : StreamingSuite(SuiteOptions()) {}
+  explicit StreamingSuite(const SuiteOptions& opts);
   ~StreamingSuite();
 
   StreamingSuite(const StreamingSuite&) = delete;

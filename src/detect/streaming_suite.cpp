@@ -3,37 +3,15 @@
 #include <string>
 
 #include "confail/detect/hb_detector.hpp"
-#include "confail/detect/lock_graph.hpp"
-#include "confail/detect/lockset.hpp"
-#include "confail/detect/protocol_deviation.hpp"
-#include "confail/detect/release_discipline.hpp"
-#include "confail/detect/starvation.hpp"
-#include "confail/detect/unnecessary_sync.hpp"
-#include "confail/detect/wait_notify.hpp"
 #include "confail/obs/metrics.hpp"
 
 namespace confail::detect {
 
-StreamingSuite::StreamingSuite(Options opts) {
-  auto push = [&](std::unique_ptr<StreamCore> core) {
+StreamingSuite::StreamingSuite(const SuiteOptions& opts) {
+  for (auto& core : makeBattery(opts)) {
+    if (auto* hb = dynamic_cast<HbCore*>(core.get())) hb_ = hb;
     slots_.push_back(Slot{std::move(core), {}});
-  };
-  push(std::make_unique<LocksetCore>());
-  HbCore::Options hb;
-  hb.maxVarHistory = opts.hbMaxVarHistory;
-  auto hbCore = std::make_unique<HbCore>(hb);
-  hb_ = hbCore.get();
-  push(std::move(hbCore));
-  push(std::make_unique<LockOrderCore>());
-  push(std::make_unique<WaitNotifyCore>());
-  push(std::make_unique<StarvationCore>(opts.starvationGrantThreshold));
-  if (opts.includeUnnecessarySync) {
-    push(std::make_unique<UnnecessarySyncCore>());
   }
-  push(std::make_unique<ReleaseDisciplineCore>());
-  ProtocolDeviationCore::Options pd;
-  pd.flagBarging = opts.flagBarging;
-  push(std::make_unique<ProtocolDeviationCore>(pd));
 }
 
 StreamingSuite::~StreamingSuite() = default;

@@ -1,5 +1,6 @@
 #include "confail/detect/suite.hpp"
 
+#include <iterator>
 #include <string>
 
 #include "confail/detect/hb_detector.hpp"
@@ -14,55 +15,59 @@
 
 namespace confail::detect {
 
-DetectorSuite::DetectorSuite(Options opts) {
-  detectors_.push_back(std::make_unique<LocksetDetector>());
-  detectors_.push_back(std::make_unique<HbDetector>());
-  detectors_.push_back(std::make_unique<LockOrderGraph>());
-  detectors_.push_back(std::make_unique<WaitNotifyAnalyzer>());
-  detectors_.push_back(
-      std::make_unique<StarvationDetector>(opts.starvationGrantThreshold));
+std::vector<std::unique_ptr<StreamCore>> makeBattery(const SuiteOptions& opts) {
+  std::vector<std::unique_ptr<StreamCore>> cores;
+  cores.push_back(std::make_unique<LocksetCore>());
+  HbCore::Options hb;
+  hb.maxVarHistory = opts.hbMaxVarHistory;
+  cores.push_back(std::make_unique<HbCore>(hb));
+  cores.push_back(std::make_unique<LockOrderCore>());
+  cores.push_back(std::make_unique<WaitNotifyCore>());
+  cores.push_back(
+      std::make_unique<StarvationCore>(opts.starvationGrantThreshold));
   if (opts.includeUnnecessarySync) {
-    detectors_.push_back(std::make_unique<UnnecessarySyncDetector>());
+    cores.push_back(std::make_unique<UnnecessarySyncCore>());
   }
-  detectors_.push_back(std::make_unique<ReleaseDisciplineDetector>());
-  ProtocolDeviationDetector::Options pd;
+  cores.push_back(std::make_unique<ReleaseDisciplineCore>());
+  ProtocolDeviationCore::Options pd;
   pd.flagBarging = opts.flagBarging;
-  detectors_.push_back(std::make_unique<ProtocolDeviationDetector>(pd));
+  cores.push_back(std::make_unique<ProtocolDeviationCore>(pd));
+  return cores;
 }
 
-DetectorSuite::~DetectorSuite() = default;
-
-std::vector<Finding> DetectorSuite::analyze(const events::Trace& trace) {
-  if (metrics_ != nullptr) metrics_->counter("detect.events").add(trace.size());
+std::vector<Finding> DetectorSuite::analyze(const events::Trace& trace) const {
   std::vector<Finding> all;
-  for (auto& d : detectors_) {
-    std::vector<Finding> fs;
-    if (metrics_ != nullptr) {
-      const std::string prefix = std::string("detect.") + d->name();
-      obs::ScopedTimer timer(&metrics_->histogram(prefix + ".analyze_ns"));
-      fs = d->analyze(trace);
-      metrics_->counter(prefix + ".findings").add(fs.size());
-    } else {
-      fs = d->analyze(trace);
-    }
-    all.insert(all.end(), fs.begin(), fs.end());
+  for (DetectorReport& r : analyzeEach(trace)) {
+    all.insert(all.end(), std::make_move_iterator(r.findings.begin()),
+               std::make_move_iterator(r.findings.end()));
   }
   return all;
 }
 
 std::vector<DetectorSuite::DetectorReport> DetectorSuite::analyzeEach(
-    const events::Trace& trace) {
+    const events::Trace& trace) const {
+  if (metrics_ != nullptr) metrics_->counter("detect.events").add(trace.size());
+  const auto cores = makeBattery(opts_);
   std::vector<DetectorReport> reports;
-  reports.reserve(detectors_.size());
-  for (auto& d : detectors_) {
-    reports.push_back(DetectorReport{d->name(), d->analyze(trace)});
+  reports.reserve(cores.size());
+  for (const auto& core : cores) {
+    std::vector<Finding> fs;
+    if (metrics_ != nullptr) {
+      const std::string prefix = std::string("detect.") + core->name();
+      obs::ScopedTimer timer(&metrics_->histogram(prefix + ".analyze_ns"));
+      fs = analyzeWithCore(*core, trace);
+      metrics_->counter(prefix + ".findings").add(fs.size());
+    } else {
+      fs = analyzeWithCore(*core, trace);
+    }
+    reports.push_back(DetectorReport{core->name(), std::move(fs)});
   }
   return reports;
 }
 
 std::vector<const char*> DetectorSuite::detectorNames() const {
   std::vector<const char*> names;
-  for (const auto& d : detectors_) names.push_back(d->name());
+  for (const auto& core : makeBattery(opts_)) names.push_back(core->name());
   return names;
 }
 

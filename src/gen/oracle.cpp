@@ -289,7 +289,7 @@ OracleOutcome cleanNegativeControl(const Program& p, const OracleConfig& oc,
   // Single-threaded monitor use is expected in tiny generated programs, so
   // the unnecessary-sync structural critique is excluded — every other
   // detector must stay silent on a clean program.
-  detect::DetectorSuite::Options dso;
+  detect::SuiteOptions dso;
   dso.includeUnnecessarySync = false;
   detect::DetectorSuite suite(dso);
 

@@ -56,7 +56,7 @@ struct IngestOptions {
   /// requestStop() ends the run).
   std::uint32_t followIdleStopMs = 1000;
   /// Detector battery configuration (thresholds, barging, HB bound).
-  detect::StreamingSuite::Options suite;
+  detect::SuiteOptions suite;
   /// Optional metrics registry (events/sec, ring occupancy, drops,
   /// per-core feed latency).  Adds per-event instrumentation cost.
   obs::Registry* metrics = nullptr;

@@ -98,8 +98,8 @@ double elapsedMs(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-detect::DetectorSuite::Options suiteOptions() {
-  detect::DetectorSuite::Options so;
+detect::SuiteOptions suiteOptions() {
+  detect::SuiteOptions so;
   // Every registry scenario's monitors use the default Fifo policies, so
   // the barging oracle (EF-T2) is sound here; lower the starvation
   // threshold so a starved acquire is also caught in-trace within the
@@ -121,9 +121,9 @@ MatrixCell runCell(const NamedScenario& sc, const InjectionPlan& plan,
   cell.hostConcurrency = std::thread::hardware_concurrency();
   const auto started = std::chrono::steady_clock::now();
 
-  detect::DetectorSuite suite(suiteOptions());
-  for (const auto& d : suite.detectors()) {
-    cell.detectors.push_back(DetectorCell{d->name()});
+  const detect::DetectorSuite suite(suiteOptions());
+  for (const char* name : suite.detectorNames()) {
+    cell.detectors.push_back(DetectorCell{name});
   }
 
   ExploreConfig cfg;
@@ -172,7 +172,7 @@ ControlCell runControl(const NamedScenario& sc, const CampaignOptions& opts) {
   cell.reduction = opts.reduction;
   cell.hostConcurrency = std::thread::hardware_concurrency();
   const auto started = std::chrono::steady_clock::now();
-  detect::DetectorSuite suite(suiteOptions());
+  const detect::DetectorSuite suite(suiteOptions());
   ExploreConfig cfg;
   cfg.scenario(sc).captureRuns().explorer(explorerOptions(opts));
   (void)cfg.explore([&](const RunView& view) {

@@ -11,12 +11,14 @@
 #include "confail/detect/lockset.hpp"
 #include "confail/detect/release_discipline.hpp"
 #include "confail/detect/starvation.hpp"
+#include "confail/detect/suite.hpp"
 #include "confail/detect/unnecessary_sync.hpp"
 #include "confail/detect/wait_notify.hpp"
 #include "confail/events/trace.hpp"
 #include "confail/monitor/monitor.hpp"
 #include "confail/monitor/runtime.hpp"
 #include "confail/monitor/shared_var.hpp"
+#include "confail/obs/metrics.hpp"
 #include "confail/sched/virtual_scheduler.hpp"
 #include "confail/support/text.hpp"
 
@@ -58,8 +60,8 @@ TEST(Lockset, FlagsUnsynchronizedSharedWrite) {
     h.rt.spawn(confail::numbered("t", t), [&] { x.set(x.get() + 1); });
   }
   ASSERT_TRUE(h.run().ok());
-  detect::LocksetDetector d;
-  auto fs = d.analyze(h.trace);
+  detect::LocksetCore d;
+  auto fs = detect::analyzeWithCore(d, h.trace);
   ASSERT_TRUE(h.has(fs, FindingKind::DataRace));
   EXPECT_EQ(fs[0].var, x.id());
 }
@@ -77,8 +79,8 @@ TEST(Lockset, QuietWhenConsistentlyLocked) {
     });
   }
   ASSERT_TRUE(h.run().ok());
-  detect::LocksetDetector d;
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::LocksetCore d;
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(Lockset, QuietForSingleThreadUnlocked) {
@@ -89,8 +91,8 @@ TEST(Lockset, QuietForSingleThreadUnlocked) {
     for (int i = 0; i < 10; ++i) x.set(x.get() + 1);
   });
   ASSERT_TRUE(h.run().ok());
-  detect::LocksetDetector d;
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::LocksetCore d;
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(Lockset, ReadSharingWithoutWritesIsNotARace) {
@@ -102,8 +104,8 @@ TEST(Lockset, ReadSharingWithoutWritesIsNotARace) {
   }
   ASSERT_TRUE(h.run().ok());
   // Writer runs first (round-robin, spawn order), then read-only sharing.
-  detect::LocksetDetector d;
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::LocksetCore d;
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(Lockset, FlagsProducerConsumerSkipSyncMutant) {
@@ -117,8 +119,9 @@ TEST(Lockset, FlagsProducerConsumerSkipSyncMutant) {
     pc.receive();
   });
   ASSERT_TRUE(h.run().ok());
-  detect::LocksetDetector d;
-  EXPECT_TRUE(h.has(d.analyze(h.trace), FindingKind::DataRace));
+  detect::LocksetCore d;
+  EXPECT_TRUE(h.has(detect::analyzeWithCore(d, h.trace),
+                    FindingKind::DataRace));
 }
 
 TEST(Lockset, QuietOnCorrectProducerConsumer) {
@@ -130,14 +133,14 @@ TEST(Lockset, QuietOnCorrectProducerConsumer) {
     pc.receive();
   });
   ASSERT_TRUE(h.run().ok());
-  detect::LocksetDetector lock;
-  detect::HbDetector hb;
-  detect::WaitNotifyAnalyzer wn;
-  detect::ReleaseDisciplineDetector rd;
-  EXPECT_TRUE(lock.analyze(h.trace).empty());
-  EXPECT_TRUE(hb.analyze(h.trace).empty());
-  EXPECT_TRUE(wn.analyze(h.trace).empty());
-  EXPECT_TRUE(rd.analyze(h.trace).empty());
+  detect::LocksetCore lock;
+  detect::HbCore hb;
+  detect::WaitNotifyCore wn;
+  detect::ReleaseDisciplineCore rd;
+  EXPECT_TRUE(detect::analyzeWithCore(lock, h.trace).empty());
+  EXPECT_TRUE(detect::analyzeWithCore(hb, h.trace).empty());
+  EXPECT_TRUE(detect::analyzeWithCore(wn, h.trace).empty());
+  EXPECT_TRUE(detect::analyzeWithCore(rd, h.trace).empty());
 }
 
 TEST(HappensBefore, FlagsTrulyUnorderedAccesses) {
@@ -147,8 +150,9 @@ TEST(HappensBefore, FlagsTrulyUnorderedAccesses) {
     h.rt.spawn(confail::numbered("t", t), [&] { x.set(1); });
   }
   ASSERT_TRUE(h.run().ok());
-  detect::HbDetector d;
-  EXPECT_TRUE(h.has(d.analyze(h.trace), FindingKind::DataRace));
+  detect::HbCore d;
+  EXPECT_TRUE(h.has(detect::analyzeWithCore(d, h.trace),
+                    FindingKind::DataRace));
 }
 
 TEST(HappensBefore, MonitorOrderingSuppressesFalsePositives) {
@@ -162,8 +166,8 @@ TEST(HappensBefore, MonitorOrderingSuppressesFalsePositives) {
     });
   }
   ASSERT_TRUE(h.run().ok());
-  detect::HbDetector d;
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::HbCore d;
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(HappensBefore, SpawnEdgeOrdersParentAndChild) {
@@ -174,8 +178,8 @@ TEST(HappensBefore, SpawnEdgeOrdersParentAndChild) {
     h.rt.spawn("child", [x] { x->set(2); });
   });
   ASSERT_TRUE(h.run().ok());
-  detect::HbDetector d;
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::HbCore d;
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(HappensBefore, WaitNotifyCreatesOrdering) {
@@ -195,8 +199,8 @@ TEST(HappensBefore, WaitNotifyCreatesOrdering) {
     m.notifyAll();
   });
   ASSERT_TRUE(h.run().ok());
-  detect::HbDetector d;
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::HbCore d;
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(LockGraph, FlagsInconsistentAcquisitionOrder) {
@@ -216,8 +220,8 @@ TEST(LockGraph, FlagsInconsistentAcquisitionOrder) {
     Synchronized a(m1);
   });
   ASSERT_TRUE(h.run().ok());  // completes — the hazard is latent
-  detect::LockOrderGraph d;
-  auto fs = d.analyze(h.trace);
+  detect::LockOrderCore d;
+  auto fs = detect::analyzeWithCore(d, h.trace);
   ASSERT_TRUE(h.has(fs, FindingKind::DeadlockCycle));
   EXPECT_NE(fs[0].message.find("m1"), std::string::npos);
   EXPECT_NE(fs[0].message.find("m2"), std::string::npos);
@@ -233,8 +237,8 @@ TEST(LockGraph, QuietOnConsistentNesting) {
     });
   }
   ASSERT_TRUE(h.run().ok());
-  detect::LockOrderGraph d;
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::LockOrderCore d;
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(WaitNotify, FlagsWaitingForever) {
@@ -246,8 +250,8 @@ TEST(WaitNotify, FlagsWaitingForever) {
   });
   auto r = h.run();
   EXPECT_EQ(r.outcome, sched::Outcome::Deadlock);
-  detect::WaitNotifyAnalyzer d;
-  auto fs = d.analyze(h.trace);
+  detect::WaitNotifyCore d;
+  auto fs = detect::analyzeWithCore(d, h.trace);
   EXPECT_TRUE(h.has(fs, FindingKind::WaitingForever));
 }
 
@@ -264,8 +268,8 @@ TEST(WaitNotify, FlagsLostNotify) {
     m.unlock();
   });
   EXPECT_EQ(h.run().outcome, sched::Outcome::Deadlock);
-  detect::WaitNotifyAnalyzer d;
-  auto fs = d.analyze(h.trace);
+  detect::WaitNotifyCore d;
+  auto fs = detect::analyzeWithCore(d, h.trace);
   EXPECT_TRUE(h.has(fs, FindingKind::LostNotify));
   EXPECT_TRUE(h.has(fs, FindingKind::WaitingForever));
 }
@@ -287,8 +291,9 @@ TEST(WaitNotify, FlagsNotifySingleInsufficient) {
     m.notifyOne();
   });
   EXPECT_EQ(h.run().outcome, sched::Outcome::Deadlock);
-  detect::WaitNotifyAnalyzer d;
-  EXPECT_TRUE(h.has(d.analyze(h.trace), FindingKind::NotifySingleInsufficient));
+  detect::WaitNotifyCore d;
+  EXPECT_TRUE(h.has(detect::analyzeWithCore(d, h.trace),
+                    FindingKind::NotifySingleInsufficient));
 }
 
 TEST(WaitNotify, FlagsIfInsteadOfWhileViaGuardDiscipline) {
@@ -303,8 +308,9 @@ TEST(WaitNotify, FlagsIfInsteadOfWhileViaGuardDiscipline) {
     pc.send("x");
   });
   ASSERT_TRUE(h.run().ok());
-  detect::WaitNotifyAnalyzer d;
-  EXPECT_TRUE(h.has(d.analyze(h.trace), FindingKind::GuardNotRechecked));
+  detect::WaitNotifyCore d;
+  EXPECT_TRUE(h.has(detect::analyzeWithCore(d, h.trace),
+                    FindingKind::GuardNotRechecked));
 }
 
 TEST(WaitNotify, WhileLoopSatisfiesGuardDiscipline) {
@@ -316,8 +322,9 @@ TEST(WaitNotify, WhileLoopSatisfiesGuardDiscipline) {
     pc.send("x");
   });
   ASSERT_TRUE(h.run().ok());
-  detect::WaitNotifyAnalyzer d;
-  EXPECT_FALSE(h.has(d.analyze(h.trace), FindingKind::GuardNotRechecked));
+  detect::WaitNotifyCore d;
+  EXPECT_FALSE(h.has(detect::analyzeWithCore(d, h.trace),
+                     FindingKind::GuardNotRechecked));
 }
 
 TEST(Starvation, FlagsStarvedRequestUnderLifoGrant) {
@@ -347,8 +354,9 @@ TEST(Starvation, FlagsStarvedRequestUnderLifoGrant) {
   // The final wait of one aggressor is never notified, so the run ends in
   // a deadlock — irrelevant here; the starvation already happened.
   h.run();
-  detect::StarvationDetector d(/*grantThreshold=*/50);
-  EXPECT_TRUE(h.has(d.analyze(h.trace), FindingKind::Starvation));
+  detect::StarvationCore d(/*grantThreshold=*/50);
+  EXPECT_TRUE(h.has(detect::analyzeWithCore(d, h.trace),
+                    FindingKind::Starvation));
 }
 
 TEST(Starvation, QuietUnderFifoGrant) {
@@ -362,8 +370,8 @@ TEST(Starvation, QuietUnderFifoGrant) {
     });
   }
   ASSERT_TRUE(h.run().ok());
-  detect::StarvationDetector d(50);
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::StarvationCore d(50);
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(Starvation, FlagsLockHeldForever) {
@@ -379,8 +387,9 @@ TEST(Starvation, FlagsLockHeldForever) {
   sched::VirtualScheduler::Options o;
   auto r = h.run();
   EXPECT_EQ(r.outcome, sched::Outcome::StepLimit);
-  detect::StarvationDetector d;
-  EXPECT_TRUE(h.has(d.analyze(h.trace), FindingKind::LockHeldForever));
+  detect::StarvationCore d;
+  EXPECT_TRUE(h.has(detect::analyzeWithCore(d, h.trace),
+                    FindingKind::LockHeldForever));
 }
 
 TEST(UnnecessarySync, FlagsSingleThreadedLockedComponent) {
@@ -394,8 +403,8 @@ TEST(UnnecessarySync, FlagsSingleThreadedLockedComponent) {
     }
   });
   ASSERT_TRUE(h.run().ok());
-  detect::UnnecessarySyncDetector d;
-  auto fs = d.analyze(h.trace);
+  detect::UnnecessarySyncCore d;
+  auto fs = detect::analyzeWithCore(d, h.trace);
   ASSERT_TRUE(h.has(fs, FindingKind::UnnecessarySync));
   EXPECT_EQ(fs[0].monitor, m.id());
 }
@@ -411,8 +420,8 @@ TEST(UnnecessarySync, QuietWhenContended) {
     });
   }
   ASSERT_TRUE(h.run().ok());
-  detect::UnnecessarySyncDetector d;
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::UnnecessarySyncCore d;
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(UnnecessarySync, QuietWhenWaitNotifyUsed) {
@@ -423,8 +432,8 @@ TEST(UnnecessarySync, QuietWhenWaitNotifyUsed) {
     m.notifyAll();  // even single-threaded, notify implies protocol use
   });
   ASSERT_TRUE(h.run().ok());
-  detect::UnnecessarySyncDetector d;
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::UnnecessarySyncCore d;
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(ReleaseDiscipline, FlagsEarlyReleaseSendMutant) {
@@ -435,8 +444,9 @@ TEST(ReleaseDiscipline, FlagsEarlyReleaseSendMutant) {
   h.rt.spawn("p", [&] { pc.send("x"); });
   h.rt.spawn("c", [&] { pc.receive(); });
   ASSERT_TRUE(h.run().ok());
-  detect::ReleaseDisciplineDetector d;
-  EXPECT_TRUE(h.has(d.analyze(h.trace), FindingKind::EarlyRelease));
+  detect::ReleaseDisciplineCore d;
+  EXPECT_TRUE(h.has(detect::analyzeWithCore(d, h.trace),
+                    FindingKind::EarlyRelease));
 }
 
 TEST(ReleaseDiscipline, QuietOnDisciplinedComponent) {
@@ -445,8 +455,8 @@ TEST(ReleaseDiscipline, QuietOnDisciplinedComponent) {
   h.rt.spawn("p", [&] { pc.send("x"); });
   h.rt.spawn("c", [&] { pc.receive(); });
   ASSERT_TRUE(h.run().ok());
-  detect::ReleaseDisciplineDetector d;
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::ReleaseDisciplineCore d;
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(Findings, DescribeMentionsNames) {
@@ -456,11 +466,37 @@ TEST(Findings, DescribeMentionsNames) {
     h.rt.spawn("racer-" + std::to_string(t), [&] { x.set(1); });
   }
   ASSERT_TRUE(h.run().ok());
-  detect::LocksetDetector d;
-  auto fs = d.analyze(h.trace);
+  detect::LocksetCore d;
+  auto fs = detect::analyzeWithCore(d, h.trace);
   ASSERT_FALSE(fs.empty());
   std::string desc = fs[0].describe(h.trace);
   EXPECT_NE(desc.find("data-race"), std::string::npos);
   EXPECT_NE(desc.find("hot-var"), std::string::npos);
   EXPECT_NE(desc.find("racer-"), std::string::npos);
+}
+
+TEST(DetectorSuite, AnalyzeEachRecordsMetrics) {
+  // `confail trace detect --metrics-out` calls analyzeEach, so the
+  // per-core metrics must be recorded there, not only by analyze().
+  Harness h;
+  SharedVar<int> x(h.rt, "x", 0);
+  for (int t = 0; t < 2; ++t) {
+    h.rt.spawn(confail::numbered("t", t), [&] { x.set(x.get() + 1); });
+  }
+  ASSERT_TRUE(h.run().ok());
+  confail::obs::Registry metrics;
+  detect::DetectorSuite suite;
+  suite.setMetrics(&metrics);
+  const auto reports = suite.analyzeEach(h.trace);
+  const confail::obs::Snapshot snap = metrics.snapshot();
+  EXPECT_EQ(snap.counter("detect.events"), h.trace.size());
+  ASSERT_EQ(reports.size(), suite.detectorNames().size());
+  for (const auto& r : reports) {
+    const std::string prefix = std::string("detect.") + r.detector;
+    EXPECT_TRUE(snap.has(prefix + ".findings")) << prefix;
+    EXPECT_TRUE(snap.has(prefix + ".analyze_ns")) << prefix;
+    EXPECT_EQ(snap.counter(prefix + ".findings"), r.findings.size())
+        << prefix;
+  }
+  EXPECT_GE(snap.counter("detect.lockset(Eraser).findings"), 1u);
 }

@@ -124,7 +124,7 @@ TEST(FifoLock, TraceIsCleanUnderSuite) {
   // the data access happens between lock()/unlock() calls, outside the
   // internal monitor's critical section.  The happens-before detector
   // understands the ordering; Eraser-style lockset (by design) does not.
-  detect::DetectorSuite::Options opts;
+  detect::SuiteOptions opts;
   opts.includeUnnecessarySync = true;
   detect::DetectorSuite suite(opts);
   auto findings = suite.analyze(trace);
@@ -154,7 +154,7 @@ TEST(DetectorSuite, RunsEveryDetectorAndFindsSeededFaults) {
 }
 
 TEST(DetectorSuite, UnnecessarySyncCanBeExcluded) {
-  detect::DetectorSuite::Options opts;
+  detect::SuiteOptions opts;
   opts.includeUnnecessarySync = false;
   detect::DetectorSuite suite(opts);
   EXPECT_EQ(suite.detectorNames().size(), 7u);

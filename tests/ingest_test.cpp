@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "confail/components/scenario_registry.hpp"
@@ -275,26 +276,47 @@ TEST(JsonlDecoder, MalformedCompleteLineIsSkippedNotFatal) {
 // ---------------------------------------------------------------------------
 
 TEST(StreamingSuite, FindingsMatchOfflineBatteryOnEveryRegistryScenario) {
+  // Both suites build their cores from one SuiteOptions; compare them under
+  // the defaults, the injection campaign's options and the clean-negative-
+  // control fuzz oracle's options.
+  detect::SuiteOptions campaign;
+  campaign.flagBarging = true;
+  campaign.starvationGrantThreshold = 20;
+  detect::SuiteOptions negativeControl;
+  negativeControl.includeUnnecessarySync = false;
+  const std::pair<const char*, detect::SuiteOptions> optionSets[] = {
+      {"defaults", detect::SuiteOptions()},
+      {"campaign", campaign},
+      {"negative-control", negativeControl}};
+
   for (const scenarios::NamedScenario& sc : scenarios::registry()) {
     const Trace trace = captureScenario(sc);
+    for (const auto& [label, opts] : optionSets) {
+      SCOPED_TRACE(std::string(label) + " " + sc.name);
 
-    detect::DetectorSuite offline;
-    const std::vector<detect::Finding> expected = offline.analyze(trace);
+      const detect::DetectorSuite offline(opts);
+      const std::vector<detect::Finding> expected = offline.analyze(trace);
 
-    detect::StreamingSuite streaming;
-    for (const Event& e : trace.events()) streaming.feed(e);
-    streaming.finish(detect::TraceNames(trace));
-    const std::vector<detect::Finding> got = streaming.findings();
+      detect::StreamingSuite streaming(opts);
+      for (const Event& e : trace.events()) streaming.feed(e);
+      streaming.finish(detect::TraceNames(trace));
+      const std::vector<detect::Finding> got = streaming.findings();
 
-    ASSERT_EQ(got.size(), expected.size()) << sc.name;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].kind, expected[i].kind) << sc.name;
-      EXPECT_EQ(got[i].message, expected[i].message) << sc.name;
-      EXPECT_EQ(got[i].thread, expected[i].thread) << sc.name;
-      EXPECT_EQ(got[i].thread2, expected[i].thread2) << sc.name;
-      EXPECT_EQ(got[i].monitor, expected[i].monitor) << sc.name;
-      EXPECT_EQ(got[i].var, expected[i].var) << sc.name;
-      EXPECT_EQ(got[i].seq, expected[i].seq) << sc.name;
+      const std::vector<const char*> names = offline.detectorNames();
+      ASSERT_EQ(streaming.coreNames().size(), names.size());
+      for (std::size_t i = 0; i < names.size(); ++i) {
+        EXPECT_STREQ(streaming.coreNames()[i], names[i]);
+      }
+      ASSERT_EQ(got.size(), expected.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].kind, expected[i].kind);
+        EXPECT_EQ(got[i].message, expected[i].message);
+        EXPECT_EQ(got[i].thread, expected[i].thread);
+        EXPECT_EQ(got[i].thread2, expected[i].thread2);
+        EXPECT_EQ(got[i].monitor, expected[i].monitor);
+        EXPECT_EQ(got[i].var, expected[i].var);
+        EXPECT_EQ(got[i].seq, expected[i].seq);
+      }
     }
   }
 }
@@ -560,7 +582,7 @@ TEST(StreamingSuite, BoundedHbHistoryCountsEvictions) {
     e.aux = static_cast<std::uint64_t>(v);
     trace.record(e);
   }
-  detect::StreamingSuite::Options opts;
+  detect::SuiteOptions opts;
   opts.hbMaxVarHistory = 8;
   detect::StreamingSuite suite(opts);
   for (const Event& e : trace.events()) suite.feed(e);

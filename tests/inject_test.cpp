@@ -55,7 +55,7 @@ TEST(Injector, RejectsStructuralClass) {
 }
 
 // ---------------------------------------------------------------------------
-// ProtocolDeviationDetector on synthetic traces
+// ProtocolDeviationCore on synthetic traces
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -75,10 +75,10 @@ ev::Event mk(ev::ThreadId t, ev::EventKind k, ev::MonitorId m,
 
 std::vector<detect::Finding> analyzeProtocol(const ev::Trace& trace,
                                              bool flagBarging = false) {
-  detect::ProtocolDeviationDetector::Options opts;
+  detect::ProtocolDeviationCore::Options opts;
   opts.flagBarging = flagBarging;
-  detect::ProtocolDeviationDetector d(opts);
-  return d.analyze(trace);
+  detect::ProtocolDeviationCore d(opts);
+  return detect::analyzeWithCore(d, trace);
 }
 
 }  // namespace
@@ -166,7 +166,7 @@ TEST(InjectionMatrix, EveryInjectableClassCaughtOnFig2) {
 // under the exact detector battery the campaign uses — if a detector fires
 // here, its positives above are meaningless.
 TEST(InjectionMatrix, NegativeControlsAreSilent) {
-  detect::DetectorSuite::Options so;
+  detect::SuiteOptions so;
   so.flagBarging = true;
   so.starvationGrantThreshold = 20;
   detect::DetectorSuite suite(so);
@@ -211,7 +211,7 @@ using RunSignatures =
 RunSignatures explorePlanSignatures(const inject::InjectionPlan& plan,
                                     std::size_t workers) {
   const scenarios::NamedScenario* fig2 = scenarios::find("fig2");
-  detect::DetectorSuite::Options so;
+  detect::SuiteOptions so;
   so.flagBarging = true;
   so.starvationGrantThreshold = 20;
   detect::DetectorSuite suite(so);
