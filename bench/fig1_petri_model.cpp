@@ -23,10 +23,10 @@
 #include <string>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "confail/events/trace.hpp"
 #include "confail/monitor/monitor.hpp"
 #include "confail/monitor/runtime.hpp"
-#include "confail/obs/json.hpp"
 #include "confail/petri/invariants.hpp"
 #include "confail/petri/reachability.hpp"
 #include "confail/petri/symmetry.hpp"
@@ -274,9 +274,10 @@ int main(int argc, char** argv) {
           "gated 8x1 enumerates exhaustively under symmetry (24057 concrete"
           " states as " + std::to_string(gate8.reducedStates) + ")");
 
-    confail::obs::JsonWriter w;
+    confail::benchjson::Writer w;
     w.beginObject();
     w.field("schema", "confail.bench.petri.v1");
+    confail::benchjson::stamp(w, smoke);
     w.field("smoke", smoke);
     w.field("max_states", cap);
     w.key("ladder");

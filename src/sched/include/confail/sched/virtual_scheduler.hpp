@@ -1,9 +1,13 @@
 // VirtualScheduler: deterministic cooperative execution of logical threads.
 //
 // Architecture (the standard model-checker / CHESS design):
-//   * Every logical thread is a ucontext fiber with its own stack, run on
-//     the OS thread that calls run() (the controller), so EXACTLY ONE
-//     logical thread executes at any moment.
+//   * Every logical thread is a fiber with its own stack, run on the OS
+//     thread that calls run() (the controller), so EXACTLY ONE logical
+//     thread executes at any moment.  A switch between fibers is a short
+//     hand-written routine that saves the callee-saved registers and the
+//     floating-point control state on the suspending stack and swaps the
+//     stack pointer: no syscall, no signal-mask change.  It is written for
+//     x86-64 (SysV) and AArch64; any other target fails with #error.
 //   * At every instrumented operation (schedule point), the running thread
 //     hands control back to the controller, which consults the Strategy to
 //     pick the next runnable thread.
@@ -15,7 +19,7 @@
 //     FF-T4 and FF-T5 mechanically detectable.
 //
 // Because only one logical thread runs at a time and every transfer of
-// control is a swapcontext on a single OS thread, all scheduler state is
+// control is a stack switch on a single OS thread, all scheduler state is
 // free of data races by construction.
 #pragma once
 
@@ -40,13 +44,13 @@ namespace confail::sched {
 class IncrementalRunner;
 
 namespace detail {
-struct Fiber;    // ucontext fiber backing a logical thread (defined in .cpp)
+struct Fiber;    // stack + saved stack pointer of a logical thread (.cpp)
 struct FiberRt;  // per-scheduler controller context (defined in .cpp)
-struct StackImage;  // frozen fiber stack + register file (defined in .cpp)
+struct StackImage;  // frozen fiber stack bytes + saved sp (defined in .cpp)
 }  // namespace detail
 
 /// True when stack snapshots are available: the fibers' raw stack images
-/// can be saved and restored (Linux on x86-64 or aarch64, sanitizers off).
+/// can be saved and restored (Linux, sanitizers off).
 /// Logical threads are fibers on every build; only incremental exploration
 /// depends on this, and silently degrades to prefix replay when false.
 bool fibersSupported() noexcept;

@@ -8,11 +8,7 @@
 
 #include "confail/obs/metrics.hpp"
 
-#if !__has_include(<ucontext.h>)
-#error "the virtual scheduler runs logical threads as ucontext fibers and needs <ucontext.h>"
-#endif
 #include <cxxabi.h>
-#include <ucontext.h>
 
 #ifdef __has_feature
 #define CONFAIL_HAS_FEATURE(x) __has_feature(x)
@@ -29,36 +25,150 @@
 #endif
 
 // Raw stack-image snapshot and restore is only implemented where it is
-// known sound — Linux on x86-64 / aarch64 — and is incompatible with the
-// TSan/ASan shadow-stack bookkeeping.
-#if defined(__linux__) && (defined(__x86_64__) || defined(__aarch64__)) && \
-    !defined(CONFAIL_SAN_THREAD) && !defined(CONFAIL_SAN_ADDRESS)
+// known sound — Linux, on the two targets below — and is incompatible with
+// the TSan/ASan shadow-stack bookkeeping.
+#if defined(__linux__) && !defined(CONFAIL_SAN_THREAD) && \
+    !defined(CONFAIL_SAN_ADDRESS)
 #define CONFAIL_STACK_SNAPSHOTS 1
+#endif
+
+// confail_fiber_switch(saveSp, loadSp): the one instruction sequence that
+// moves control between stacks.  It pushes the callee-saved registers and
+// the floating-point control state (x86-64: MXCSR and the x87 control
+// word; AArch64: FPCR) on the current stack, stores the stack pointer to
+// *saveSp, loads loadSp as the stack pointer, pops the same frame from
+// there and returns into the code that suspended on it.  Everything else
+// is caller-saved under the platform ABI, so the C++ call site already
+// assumes it is clobbered.  The signal mask is deliberately not part of a
+// fiber's state: nothing here changes it, so no switch makes a syscall.
+extern "C" void confail_fiber_switch(void** saveSp, void* loadSp) noexcept;
+
+#if defined(__x86_64__)
+#if defined(__CET__)
+#define CONFAIL_FIBER_ENDBR "endbr64\n"
+#else
+#define CONFAIL_FIBER_ENDBR ""
+#endif
+// Frame, from the saved sp up (8-byte words): x87 control word, MXCSR,
+// r15, r14, r13, r12, rbx, rbp, return address.
+asm(".pushsection .text\n"
+    ".p2align 4\n"
+    ".globl confail_fiber_switch\n"
+    ".hidden confail_fiber_switch\n"
+    ".type confail_fiber_switch, @function\n"
+    "confail_fiber_switch:\n"
+    CONFAIL_FIBER_ENDBR
+    "  pushq %rbp\n"
+    "  pushq %rbx\n"
+    "  pushq %r12\n"
+    "  pushq %r13\n"
+    "  pushq %r14\n"
+    "  pushq %r15\n"
+    "  subq $16, %rsp\n"
+    "  stmxcsr 8(%rsp)\n"
+    "  fnstcw (%rsp)\n"
+    "  movq %rsp, (%rdi)\n"
+    "  movq %rsi, %rsp\n"
+    "  fldcw (%rsp)\n"
+    "  ldmxcsr 8(%rsp)\n"
+    "  addq $16, %rsp\n"
+    "  popq %r15\n"
+    "  popq %r14\n"
+    "  popq %r13\n"
+    "  popq %r12\n"
+    "  popq %rbx\n"
+    "  popq %rbp\n"
+    "  ret\n"
+    ".size confail_fiber_switch, .-confail_fiber_switch\n"
+    ".popsection\n");
+#elif defined(__aarch64__)
+// Frame, from the saved sp up (8-byte words): x19..x28, x29 (frame
+// pointer), x30 (return address), d8..d15, FPCR, padding to 16 bytes.
+asm(".pushsection .text\n"
+    ".p2align 4\n"
+    ".globl confail_fiber_switch\n"
+    ".hidden confail_fiber_switch\n"
+    ".type confail_fiber_switch, %function\n"
+    "confail_fiber_switch:\n"
+    "  sub sp, sp, #176\n"
+    "  stp x19, x20, [sp, #0]\n"
+    "  stp x21, x22, [sp, #16]\n"
+    "  stp x23, x24, [sp, #32]\n"
+    "  stp x25, x26, [sp, #48]\n"
+    "  stp x27, x28, [sp, #64]\n"
+    "  stp x29, x30, [sp, #80]\n"
+    "  stp d8, d9, [sp, #96]\n"
+    "  stp d10, d11, [sp, #112]\n"
+    "  stp d12, d13, [sp, #128]\n"
+    "  stp d14, d15, [sp, #144]\n"
+    "  mrs x9, fpcr\n"
+    "  str x9, [sp, #160]\n"
+    "  mov x9, sp\n"
+    "  str x9, [x0]\n"
+    "  mov sp, x1\n"
+    "  ldr x9, [sp, #160]\n"
+    "  msr fpcr, x9\n"
+    "  ldp x19, x20, [sp, #0]\n"
+    "  ldp x21, x22, [sp, #16]\n"
+    "  ldp x23, x24, [sp, #32]\n"
+    "  ldp x25, x26, [sp, #48]\n"
+    "  ldp x27, x28, [sp, #64]\n"
+    "  ldp x29, x30, [sp, #80]\n"
+    "  ldp d8, d9, [sp, #96]\n"
+    "  ldp d10, d11, [sp, #112]\n"
+    "  ldp d12, d13, [sp, #128]\n"
+    "  ldp d14, d15, [sp, #144]\n"
+    "  add sp, sp, #176\n"
+    "  ret\n"
+    ".size confail_fiber_switch, .-confail_fiber_switch\n"
+    ".popsection\n");
+#else
+#error "the virtual scheduler's fiber switch is written for x86-64 and AArch64 only"
 #endif
 
 namespace confail::sched {
 
 namespace {
-// The scheduler resuming a fiber on this OS thread.  makecontext passes no
-// pointer arguments portably, so a fresh fiber's entry point finds its
-// scheduler here (and its record as that scheduler's running_).
+// The scheduler resuming a fiber on this OS thread.  A fresh fiber's entry
+// point takes no arguments, so it finds its scheduler here (and its record
+// as that scheduler's running_).
 thread_local VirtualScheduler* tlsResuming = nullptr;
 
 // Stacks only need to hold the scenario bodies plus exception unwinding;
-// the *captured* portion per snapshot is just [SP - red zone, top).
+// the *captured* portion per snapshot is just [saved sp, top).
 constexpr std::size_t kFiberStackBytes = 256 * 1024;
+static_assert(kFiberStackBytes % 16 == 0 &&
+                  __STDCPP_DEFAULT_NEW_ALIGNMENT__ >= 16,
+              "fiber stack tops must be 16-byte aligned");
 
-#ifdef CONFAIL_STACK_SNAPSHOTS
-constexpr std::size_t kRedZoneBytes = 128;
-
-std::uintptr_t contextSp(const ucontext_t& ctx) {
+// The first frame of a fresh fiber: what confail_fiber_switch pops, with
+// `entry` as the return address, so the first switch to the fiber "returns"
+// into entry with the stack aligned as for a call.  The floating-point
+// control state is copied from the spawning context, as a new OS thread
+// inherits it.  Returns the fiber's initial saved sp.
+void* initialFrame(char* top, void (*entry)()) {
 #if defined(__x86_64__)
-  return static_cast<std::uintptr_t>(ctx.uc_mcontext.gregs[REG_RSP]);
+  std::uint16_t fpucw = 0;
+  std::uint32_t mxcsr = 0;
+  asm volatile("fnstcw %0" : "=m"(fpucw));
+  asm volatile("stmxcsr %0" : "=m"(mxcsr));
+  // fpucw, mxcsr, r15..rbx, rbp = 0 (ends frame-pointer walks), entry;
+  // above it a null return address for entry, which never returns.
+  std::uint64_t frame[10] = {fpucw, mxcsr};
+  frame[8] = reinterpret_cast<std::uintptr_t>(entry);
 #else  // __aarch64__
-  return static_cast<std::uintptr_t>(ctx.uc_mcontext.sp);
+  std::uint64_t fpcr = 0;
+  asm volatile("mrs %0, fpcr" : "=r"(fpcr));
+  // x19..x28, x29 = 0 (ends frame-pointer walks), x30 = entry, d8..d15,
+  // fpcr, padding.
+  std::uint64_t frame[22] = {};
+  frame[11] = reinterpret_cast<std::uintptr_t>(entry);
+  frame[20] = fpcr;
 #endif
+  char* const sp = top - sizeof(frame);
+  std::memcpy(sp, frame, sizeof(frame));
+  return sp;
 }
-#endif  // CONFAIL_STACK_SNAPSHOTS
 
 // The C++ runtime keeps its exception bookkeeping (the stack of caught
 // exceptions, the uncaught count) per OS thread.  A logical thread may
@@ -77,54 +187,46 @@ EhGlobals& liveEhGlobals() {
 
 namespace detail {
 
-/// One logical thread's frozen execution: the used top of its stack plus
-/// the register file at the suspend point.  Immutable; shared by every
-/// snapshot taken while the fiber stayed suspended (version match).
+/// One logical thread's frozen execution: the used top of its stack, from
+/// the saved stack pointer up.  The registers of the suspend point are part
+/// of those bytes (confail_fiber_switch pushed them).  Immutable; shared by
+/// every snapshot taken while the fiber stayed suspended (version match).
 struct StackImage {
   std::uint64_t version = 0;
-  std::size_t used = 0;            ///< bytes saved at the top of the stack
-  std::unique_ptr<char[]> bytes;   ///< copy of [stackTop - used, stackTop)
-  ucontext_t ctx{};
+  void* sp = nullptr;             ///< the fiber's saved stack pointer
+  std::unique_ptr<char[]> bytes;  ///< copy of [sp, stackTop)
   EhGlobals eh;
 };
 
-/// The ucontext fiber backing a logical thread.  The object (and
-/// therefore `ctx`) is heap-pinned for the scheduler's whole life: glibc's
-/// x86-64 ucontext_t holds a pointer into itself (uc_mcontext.fpregs ->
-/// __fpregs_mem), so a context must always be restored into the same
-/// ucontext_t it was captured from.
+/// The fiber backing a logical thread: its own stack, and while it is
+/// suspended the stack pointer confail_fiber_switch saved there.
 struct Fiber {
   /// A fresh fiber that starts in `entry` when first switched to.  The
   /// stack is not zeroed: nothing reads below the stack pointer.
   explicit Fiber(void (*entry)())
       : stack(std::make_unique_for_overwrite<char[]>(kFiberStackBytes)),
-        version(nextSnapshotVersion()) {
-    CONFAIL_ASSERT(getcontext(&ctx) == 0, "getcontext failed");
-    ctx.uc_stack.ss_sp = stack.get();
-    ctx.uc_stack.ss_size = kFiberStackBytes;
-    ctx.uc_link = nullptr;
-    makecontext(&ctx, entry, 0);
-  }
+        sp(initialFrame(stack.get() + kFiberStackBytes, entry)),
+        version(nextSnapshotVersion()) {}
 #ifdef CONFAIL_SAN_THREAD
   ~Fiber() { __tsan_destroy_fiber(tsan); }
 #endif
 
   std::unique_ptr<char[]> stack;  ///< kFiberStackBytes
+  void* sp = nullptr;  ///< saved stack pointer while suspended
   /// Stamp of the stack's current contents; bumped on every resume (the
   /// stack is about to change).  An image with an equal stamp is
   /// byte-identical to the live stack, so save and restore can skip it.
   std::uint64_t version = 0;
   std::shared_ptr<const StackImage> lastImage;
-  ucontext_t ctx{};
   EhGlobals eh;  ///< this fiber's exception state while it is suspended
 #ifdef CONFAIL_SAN_THREAD
   void* tsan = __tsan_create_fiber(0);
 #endif
 };
 
-/// Controller-side context the running fiber swaps back into.
+/// Controller-side context the running fiber switches back into.
 struct FiberRt {
-  ucontext_t controllerCtx{};
+  void* controllerSp = nullptr;  ///< the controller's saved stack pointer
 #ifdef CONFAIL_SAN_THREAD
   void* tsan = nullptr;  ///< the controller's TSan context
 #endif
@@ -139,8 +241,8 @@ struct FiberRt {
 /// strict), ASan the target stack, so unwinding on a fiber stack is not
 /// misreported.  `toFiber` is null when returning to the controller;
 /// `dying` marks a finished fiber's last switch.
-void switchContext([[maybe_unused]] FiberRt& rt, ucontext_t& from,
-                   ucontext_t& to, [[maybe_unused]] Fiber* toFiber,
+void switchContext([[maybe_unused]] FiberRt& rt, void*& fromSp, void* toSp,
+                   [[maybe_unused]] Fiber* toFiber,
                    [[maybe_unused]] bool dying) {
 #ifdef CONFAIL_SAN_ADDRESS
   void* fakeStack = nullptr;
@@ -156,7 +258,7 @@ void switchContext([[maybe_unused]] FiberRt& rt, ucontext_t& from,
   if (toFiber != nullptr) rt.tsan = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(toFiber != nullptr ? toFiber->tsan : rt.tsan, 0);
 #endif
-  swapcontext(&from, &to);
+  confail_fiber_switch(&fromSp, toSp);
 #ifdef CONFAIL_SAN_ADDRESS
   // Back on `from`'s stack.  A fiber learns where the controller lives.
   if (toFiber != nullptr) {
@@ -268,7 +370,7 @@ void VirtualScheduler::fiberMain(ThreadRecord& rec) {
     }
   }
   finishSelf(rec);
-  detail::switchContext(*fiberRt_, rec.fiber->ctx, fiberRt_->controllerCtx,
+  detail::switchContext(*fiberRt_, rec.fiber->sp, fiberRt_->controllerSp,
                         nullptr, /*dying=*/true);
 }
 
@@ -491,7 +593,7 @@ void VirtualScheduler::resumeThread(ThreadRecord& rec) {
   eh = f.eh;
   running_ = &rec;
   tlsResuming = this;
-  detail::switchContext(*fiberRt_, fiberRt_->controllerCtx, f.ctx, &f,
+  detail::switchContext(*fiberRt_, fiberRt_->controllerSp, f.sp, &f,
                         /*dying=*/false);
   running_ = nullptr;
   f.eh = eh;
@@ -540,7 +642,7 @@ void VirtualScheduler::block(BlockKind kind, std::uint64_t resource) {
 }
 
 void VirtualScheduler::switchToController(ThreadRecord& rec) {
-  detail::switchContext(*fiberRt_, rec.fiber->ctx, fiberRt_->controllerCtx,
+  detail::switchContext(*fiberRt_, rec.fiber->sp, fiberRt_->controllerSp,
                         nullptr, /*dying=*/false);
   checkAbort();
   CONFAIL_ASSERT(rec.state == ThreadState::Running,
@@ -633,17 +735,16 @@ VirtualScheduler::saveSnapshot() {
     if (!f.lastImage || f.lastImage->version != f.version) {
       auto img = std::make_shared<detail::StackImage>();
       img->version = f.version;
-      img->ctx = f.ctx;
+      img->sp = f.sp;
       img->eh = f.eh;
       char* const top = f.stack.get() + kFiberStackBytes;
-      const char* from =
-          reinterpret_cast<const char*>(contextSp(f.ctx)) - kRedZoneBytes;
+      const char* from = static_cast<const char*>(f.sp);
       CONFAIL_ASSERT(from >= f.stack.get() && from < top,
                      "fiber stack pointer out of range");
-      img->used = static_cast<std::size_t>(top - from);
-      img->bytes = std::make_unique_for_overwrite<char[]>(img->used);
-      std::memcpy(img->bytes.get(), from, img->used);
-      snap->freshBytes += img->used + sizeof(detail::StackImage);
+      const auto used = static_cast<std::size_t>(top - from);
+      img->bytes = std::make_unique_for_overwrite<char[]>(used);
+      std::memcpy(img->bytes.get(), from, used);
+      snap->freshBytes += used + sizeof(detail::StackImage);
       f.lastImage = std::move(img);
     }
     ts.stack = f.lastImage;
@@ -683,13 +784,11 @@ bool VirtualScheduler::restoreSnapshot(const Snapshot& snap) {
     detail::Fiber& f = *rec.fiber;
     const detail::StackImage& img = *ts.stack;
     if (f.version != img.version) {
-      // Restore into the fiber's OWN ucontext object: the register file
-      // was captured from it, and on x86-64 glibc it contains a pointer to
-      // its own __fpregs_mem — valid only at this address.
-      f.ctx = img.ctx;
+      f.sp = img.sp;
       f.eh = img.eh;
       char* const top = f.stack.get() + kFiberStackBytes;
-      std::memcpy(top - img.used, img.bytes.get(), img.used);
+      std::memcpy(img.sp, img.bytes.get(),
+                  static_cast<std::size_t>(top - static_cast<char*>(img.sp)));
       f.version = img.version;
       f.lastImage = ts.stack;
     }

@@ -3,7 +3,10 @@
 // and the exhaustive explorer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cfenv>
+#include <cstdint>
 #include <exception>
 #include <numeric>
 #include <stdexcept>
@@ -233,6 +236,83 @@ TEST(VirtualScheduler, ExceptionStateIsPerLogicalThread) {
   EXPECT_EQ(r.outcome, Outcome::Completed) << r.errorMessage;
   EXPECT_EQ(seen, (std::vector<std::string>{"inner", "outer"}));
   EXPECT_FALSE(bystanderSawException);
+}
+
+TEST(VirtualScheduler, FloatingPointEnvironmentIsPerLogicalThread) {
+  // The rounding mode lives in the MXCSR (SSE arithmetic) and the x87
+  // control word (what fegetround reads on x86-64).  A fiber switch must
+  // carry both per logical thread, as a switch between OS threads does.
+  // The quotients use volatile operands so they are computed at run time
+  // under the live rounding mode.
+  static volatile double one = 1.0;
+  static volatile double three = 3.0;
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  const double nearest = one / three;
+
+  // Runs "upward" first, then always the highest runnable id, and samples
+  // the controller's rounding mode at every decision point: the last two
+  // are taken while "upward" is suspended in FE_UPWARD.
+  struct SamplingStrategy final : sched::Strategy {
+    std::vector<int> rounds;
+    std::vector<double> quotients;
+    ThreadId pick(const std::vector<ThreadId>& runnable,
+                  std::uint64_t step) override {
+      rounds.push_back(std::fegetround());
+      quotients.push_back(one / three);
+      return step == 0 ? runnable.front() : runnable.back();
+    }
+  };
+  SamplingStrategy strat;
+  VirtualScheduler s(strat);
+  int upwardAfterResume = -1;
+  double upwardQuotient = 0.0;
+  int otherRound = -1;
+  double otherQuotient = 0.0;
+  s.spawn("upward", [&] {
+    ASSERT_EQ(std::fesetround(FE_UPWARD), 0);
+    s.yield();
+    upwardAfterResume = std::fegetround();
+    upwardQuotient = one / three;
+  });
+  s.spawn("other", [&] {
+    otherRound = std::fegetround();
+    otherQuotient = one / three;
+  });
+  auto r = s.run();
+  EXPECT_EQ(r.outcome, Outcome::Completed) << r.errorMessage;
+  EXPECT_EQ(r.schedule, (std::vector<ThreadId>{0, 1, 0}));
+  EXPECT_EQ(otherRound, FE_TONEAREST);
+  EXPECT_EQ(otherQuotient, nearest);
+  EXPECT_EQ(upwardAfterResume, FE_UPWARD);
+  EXPECT_GT(upwardQuotient, nearest);
+  EXPECT_EQ(strat.rounds, (std::vector<int>(3, FE_TONEAREST)));
+  EXPECT_EQ(strat.quotients, (std::vector<double>(3, nearest)));
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(one / three, nearest);
+}
+
+TEST(SnapshotVersion, StampsAreUniqueAcrossThreads) {
+  // Each OS thread draws from its own block of 2^16 stamps; drawing more
+  // than one block per thread crosses block boundaries concurrently.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = (std::size_t{1} << 16) + 5000;
+  std::vector<std::vector<std::uint64_t>> drawn(kThreads);
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&drawn, t] {
+      drawn[t].reserve(kPerThread);
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        drawn[t].push_back(sched::nextSnapshotVersion());
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  std::vector<std::uint64_t> all;
+  for (const auto& d : drawn) all.insert(all.end(), d.begin(), d.end());
+  ASSERT_EQ(all.size(), kThreads * kPerThread);
+  EXPECT_EQ(std::count(all.begin(), all.end(), std::uint64_t{0}), 0);
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
 }
 
 TEST(Explorer, CoversAllInterleavingsOfTwoThreads) {
