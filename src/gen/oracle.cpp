@@ -14,6 +14,7 @@
 #include "confail/obs/trace_export.hpp"
 #include "confail/petri/cross_check.hpp"
 #include "confail/sched/explorer.hpp"
+#include "confail/support/text.hpp"
 #include "confail/taxonomy/taxonomy.hpp"
 
 namespace confail::gen {
@@ -270,9 +271,11 @@ OracleOutcome workerDeterminism(const Program& p, const OracleConfig& oc,
         out.ok = false;
         out.detail = std::string("reduction=") + reductionName(red) +
                      " workers=" + std::to_string(oc.workerCounts[i]) + ": " +
-                     diffObs("w" + std::to_string(oc.workerCounts[0]),
+                     diffObs(numbered("w", static_cast<long long>(
+                                               oc.workerCounts[0])),
                              base.obs,
-                             "w" + std::to_string(oc.workerCounts[i]),
+                             numbered("w", static_cast<long long>(
+                                               oc.workerCounts[i])),
                              other.obs);
         return out;
       }

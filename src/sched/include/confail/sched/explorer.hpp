@@ -101,7 +101,7 @@ class ExhaustiveExplorer {
     /// O(depth) prefix.  Produces the exact same runs, failure sets,
     /// canonical witnesses and Stats counters as replay; silently falls
     /// back to replay when stack snapshots are unavailable (sanitized
-    /// builds, non-x86-64/aarch64; see fibersSupported()) or the program
+    /// builds, non-Linux hosts; see fibersSupported()) or the program
     /// is not snapshot-safe (see
     /// VirtualScheduler::declareSnapshotSafe).  See docs/exploration.md.
     bool incremental = true;

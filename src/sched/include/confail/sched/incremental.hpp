@@ -25,7 +25,7 @@
 // the replay path.  If anything breaks the session's assumptions — the
 // program is not declared snapshot-safe, a restore detects mid-run
 // (un)registration, the build has no stack snapshots (fibersSupported()
-// is false under sanitizers and off x86-64/aarch64) — the runner reports
+// is false under sanitizers and off Linux) — the runner reports
 // unusable/null and the explorer falls back to plain replay, which runs
 // the same fibers without checkpoints.
 //
